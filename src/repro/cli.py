@@ -25,9 +25,25 @@ Regenerates paper artifacts from the shell:
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from repro.core.experiments import EXPERIMENTS, SCALES, StudyRunner, run_experiment
+
+#: Subcommand -> (module, entry point); modules import on first use.
+_SUBCOMMANDS = {
+    "conformance": ("repro.conformance.cli", "conformance_main"),
+    "fuzz": ("repro.conformance.cli", "fuzz_main"),
+    "study": ("repro.core.runner.cli", "study_main"),
+    "chaos": ("repro.core.runner.cli", "chaos_main"),
+    "resilience": ("repro.transport.cli", "resilience_main"),
+    "serve": ("repro.service.cli", "serve_main"),
+    "faultstudy": ("repro.service.cli", "faultstudy_main"),
+    "abrstudy": ("repro.service.cli", "abrstudy_main"),
+    "bench": ("repro.codec.bench", "bench_main"),
+    "profile": ("repro.obs.cli", "profile_main"),
+    "obs": ("repro.obs.cli", "obs_main"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,11 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help=(
-            "experiment id (table1..table8, fig2..fig4), 'all', 'list', "
-            "'conformance', 'fuzz', 'study', 'chaos', 'resilience', 'serve', "
-            "'faultstudy', 'abrstudy', 'bench', 'profile', or 'obs'"
-        ),
+        help="experiment id (table1..table8, fig2..fig4), 'all', 'list', "
+             "or a subcommand: " + ", ".join(_SUBCOMMANDS),
     )
     parser.add_argument(
         "--scale",
@@ -79,52 +92,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if argv is None:
         argv = sys.argv[1:]
-    # The conformance tools own their argument grammar; dispatch before
-    # the experiment parser sees (and rejects) their flags.
-    if argv and argv[0] == "conformance":
-        from repro.conformance.cli import conformance_main
-
-        return conformance_main(argv[1:])
-    if argv and argv[0] == "fuzz":
-        from repro.conformance.cli import fuzz_main
-
-        return fuzz_main(argv[1:])
-    if argv and argv[0] == "study":
-        from repro.core.runner.cli import study_main
-
-        return study_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        from repro.core.runner.cli import chaos_main
-
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "resilience":
-        from repro.transport.cli import resilience_main
-
-        return resilience_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.service.cli import serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "faultstudy":
-        from repro.service.cli import faultstudy_main
-
-        return faultstudy_main(argv[1:])
-    if argv and argv[0] == "abrstudy":
-        from repro.service.cli import abrstudy_main
-
-        return abrstudy_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.codec.bench import bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "profile":
-        from repro.obs.cli import profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "obs":
-        from repro.obs.cli import obs_main
-
-        return obs_main(argv[1:])
+    # Subcommands own their argument grammar; dispatch before the
+    # experiment parser sees (and rejects) their flags.
+    if argv and argv[0] in _SUBCOMMANDS:
+        module, entry = _SUBCOMMANDS[argv[0]]
+        return getattr(importlib.import_module(module), entry)(argv[1:])
     args = build_parser().parse_args(argv)
     if args.engine is not None:
         os.environ["REPRO_ENGINE"] = args.engine

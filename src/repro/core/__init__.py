@@ -5,7 +5,8 @@
 - :mod:`repro.core.counters` -- the perfex-like counter facade;
 - :mod:`repro.core.study` -- workload construction + characterization runs;
 - :mod:`repro.core.experiments` -- the per-table/figure registry;
-- :mod:`repro.core.paperdata` -- transcribed reference values.
+- :mod:`repro.core.paperdata` -- transcribed reference values;
+- :mod:`repro.core.sweep` -- the crash-safe cell store of the study CLIs.
 """
 
 from repro.core.counters import PerfexSession

@@ -13,14 +13,17 @@ seven-bucket taxonomy with ``switched_down`` / ``rebuffered``.
 
 Scheduling happens in *virtual time*, so every decision and every
 reported latency is a pure function of ``(fleet_seed, n_sessions,
-config)``; the asyncio and supervised-worker-fleet backends only change
-how fast the bit-identical answer is computed.  ``python -m repro
-serve`` runs the scale study (sessions/sec vs latency percentiles vs
-delivered PSNR as N grows); ``python -m repro faultstudy`` sweeps
+config)``; the ``serial`` backend (the default) and the supervised
+worker ``fleet`` only change how fast the bit-identical answer is
+computed.  ``python -m repro serve`` runs the scale study (sessions/sec
+vs latency percentiles vs delivered PSNR as N grows); ``python -m repro
+faultstudy`` sweeps
 availability / MTTR / retry amplification against fault intensity
 across the recovery-policy ladder; ``python -m repro abrstudy`` sweeps
 delivered PSNR / rebuffer ratio / switch rate against provisioned
-bandwidth under time-varying channel capacity.
+bandwidth under time-varying channel capacity.  All three studies
+persist their cells through :mod:`repro.core.sweep`, the one place that
+owns the cell-store format.
 """
 
 from repro.service.abr import (
@@ -36,7 +39,7 @@ from repro.service.abr import (
     simulate_abr_fleet,
     simulate_abr_session,
 )
-from repro.service.backends import BACKENDS, execute_schedule, run_tasks
+from repro.service.backends import BACKENDS, run_tasks, session_key, session_tasks
 from repro.service.config import (
     DEFAULT_CONFIG,
     MODE_DEGRADED,
@@ -93,6 +96,8 @@ __all__ = [
     "OUTCOME_SWITCHED_DOWN",
     "ladder_tracks",
     "run_tasks",
+    "session_key",
+    "session_tasks",
     "simulate_abr_fleet",
     "simulate_abr_session",
     "EXTENDED_OUTCOMES",
@@ -123,7 +128,6 @@ __all__ = [
     "SessionSpec",
     "build_fleet",
     "corrupt_stream",
-    "execute_schedule",
     "execute_session",
     "schedule_fleet",
     "simulate_recovery",

@@ -19,20 +19,20 @@ segment-accurate number the single delivered stream cannot provide).
 
 Reproducibility contract, identical to the serve/fault studies: cells
 are pure functions of their grid coordinates, published atomically with
-content digests; two runs, a run and its ``--resume``, and runs on any
-backend/jobs combination are byte-identical.  Wall-clock telemetry goes
-to the never-diffed sidecar.
+content digests by :func:`repro.core.sweep.run_grid`; two runs, a run
+and its ``--resume``, and runs on any backend/jobs combination are
+byte-identical.  Wall-clock telemetry goes to the never-diffed sidecar.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from repro.core.runner.chaos import POINT_WORKER_CELL, strike_from_env
-from repro.ioutil import atomic_write, sha256_hex
+from repro.core.sweep import load_records, run_grid
+from repro.ioutil import sha256_hex
 from repro.service.abr import (
     ABR_OUTCOMES,
     ABR_POLICIES,
@@ -47,13 +47,7 @@ from repro.service.faults import FaultConfig, FaultPlan
 from repro.service.recovery import POLICIES, simulate_recovery
 from repro.service.scheduler import schedule_fleet
 from repro.service.session import SessionSpec, _source_frames, build_fleet
-from repro.service.study import (
-    DEFAULT_SEEDS,
-    _canonical,
-    _cell_path,
-    _load_valid_cell,
-    _next_attempt,
-)
+from repro.service.study import DEFAULT_SEEDS
 from repro.transport.bandwidth import PROFILE_NAMES, PROFILES
 
 __all__ = [
@@ -439,35 +433,17 @@ def run_abr_sweep(
     ladder: tuple | None = None,
 ) -> dict:
     """Run (or finish) an ABR sweep; returns the summary dict."""
-    run_dir = Path(run_dir)
-    cells = abr_grid_cells(ns, seeds, bandwidths, profiles, policies)
-    skipped = 0
-    wall_records = []
-    for cell in cells:
-        path = _cell_path(run_dir, cell)
-        if resume and _load_valid_cell(path) is not None:
-            skipped += 1
-            continue
-        attempt = _next_attempt(run_dir, cell)
-        # Chaos kill/spin drills strike here, exactly like study workers.
-        strike_from_env(POINT_WORKER_CELL, f"abrstudy:{cell.cell_id}/a{attempt}")
-        record, wall = run_abr_cell(cell, config, backend, jobs, ladder)
-        record["digest"] = sha256_hex(_canonical(record).encode("utf-8"))
-        atomic_write(path, _canonical(record))
-        wall_records.append(wall)
-    if wall_records:
-        atomic_write(
-            run_dir / "telemetry" / "wall.json",
-            _canonical(
-                {"schema": "repro-service-wall", "version": 1,
-                 "cells": wall_records}
-            ),
-        )
-    summary = summarize_abr(run_dir, ns, seeds, bandwidths, profiles, policies)
-    atomic_write(run_dir / "summary.json", _canonical(summary))
-    atomic_write(run_dir / "table.txt", render_abr_summary(summary) + "\n")
-    summary["skipped_cells"] = skipped
-    return summary
+    return run_grid(
+        run_dir,
+        abr_grid_cells(ns, seeds, bandwidths, profiles, policies),
+        partial(run_abr_cell, config=config, backend=backend, jobs=jobs,
+                ladder=ladder),
+        partial(summarize_abr, run_dir, ns, seeds, bandwidths, profiles,
+                policies),
+        render_abr_summary,
+        label="abrstudy:",
+        resume=resume,
+    )
 
 
 def summarize_abr(
@@ -475,21 +451,17 @@ def summarize_abr(
 ) -> dict:
     """Aggregate published cells into the quality-vs-provisioning curve,
     one row per (bandwidth, profile, policy) point."""
-    run_dir = Path(run_dir)
     rows = []
     missing: list[str] = []
     for bandwidth in bandwidths:
         for profile in profiles:
             for policy in policies:
-                records = []
-                for n in ns:
-                    for seed in seeds:
-                        cell = AbrCell(n, seed, bandwidth, profile, policy)
-                        record = _load_valid_cell(_cell_path(run_dir, cell))
-                        if record is None:
-                            missing.append(cell.cell_id)
-                            continue
-                        records.append(record)
+                records = load_records(
+                    run_dir,
+                    abr_grid_cells(ns, seeds, (bandwidth,), (profile,),
+                                   (policy,)),
+                    missing,
+                )
                 if not records:
                     continue
                 k = len(records)

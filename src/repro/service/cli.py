@@ -18,9 +18,13 @@
    $ python -m repro abrstudy --smoke               # CI grid (step_drop only)
    $ python -m repro abrstudy --bandwidth 16 36 --policy fixed hybrid
 
-Published study tables are byte-identical for a given grid whatever the
-backend or job count; wall-clock throughput lands in
-``telemetry/wall.json`` next to the run, never in the tables.
+The backends are ``serial`` (the default) and the supervised worker
+``fleet``; ``--jobs`` sizes the fleet, so ``--jobs`` above 1 needs
+``--backend fleet``.  Published study tables are byte-identical for a
+given grid whatever the backend or job count; wall-clock throughput
+lands in ``telemetry/wall.json`` next to the run, never in the tables.
+The run-directory options and the post-run report are shared with
+``repro resilience`` through :mod:`repro.core.sweep`.
 
 Argument validation beyond what ``argparse`` types give us raises
 :class:`CliArgumentError`; every entry point renders it as a one-line
@@ -30,7 +34,8 @@ Argument validation beyond what ``argparse`` types give us raises
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
+
+from repro.core.sweep import add_run_options, finish_run, run_dir_for
 
 __all__ = [
     "CliArgumentError",
@@ -54,30 +59,53 @@ def _check(condition: bool, message: str) -> None:
         raise CliArgumentError(message)
 
 
-def _runs_root(override: str | None, study: str = "serve") -> Path:
-    import os
+def _service_parser(
+    prog: str, description: str, default_sessions: str
+) -> argparse.ArgumentParser:
+    """A parser with the options all three service studies take."""
+    from repro.service.backends import BACKENDS
 
-    if override:
-        return Path(override)
-    return Path(os.environ.get("REPRO_RUNS", ".repro-runs")) / study
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    parser.add_argument("--sessions", type=int, nargs="+", default=None,
+                        metavar="N",
+                        help=f"fleet size(s) (default: {default_sessions})")
+    parser.add_argument("--seed", type=int, nargs="+", default=[4],
+                        metavar="S", help="fleet seed(s) (default: 4)")
+    parser.add_argument("--backend", choices=BACKENDS, default="serial",
+                        help="execution backend (default: serial)")
+    parser.add_argument("--jobs", type=int, default=1, metavar="J",
+                        help="fleet worker processes (default: 1; "
+                             "above 1 needs --backend fleet)")
+    add_run_options(parser)
+    return parser
 
 
-def _export_telemetry(run_dir: Path) -> None:
-    """When REPRO_OBS is on, publish the run's spans and metrics."""
-    from repro import obs
+def _check_service_args(args: argparse.Namespace, default_ns: tuple) -> tuple:
+    """Validate the shared options; returns the fleet sizes to study."""
+    _check(args.jobs >= 1, "--jobs must be >= 1")
+    _check(args.jobs == 1 or args.backend == "fleet",
+           f"--jobs {args.jobs} needs --backend fleet "
+           f"(the {args.backend} backend runs one pipeline at a time)")
+    ns = tuple(args.sessions) if args.sessions is not None else default_ns
+    _check(all(n > 0 for n in ns), "--sessions must be positive")
+    return ns
 
-    if not obs.enabled():
-        return
-    from repro.obs.export import export_metrics_json, export_spans_jsonl
 
-    telemetry = run_dir / "telemetry"
-    export_spans_jsonl(telemetry / "trace.jsonl", obs.tracer().drain())
-    export_metrics_json(telemetry / "metrics.json", obs.registry().snapshot())
-    print(f"telemetry: {telemetry}")
+def _run(args, study: str, title: str, sweep, render, **grid) -> int:
+    """Run the sweep the shared options name, then report it."""
+    run_dir = run_dir_for(args, study)
+    summary = sweep(run_dir, seeds=tuple(args.seed), backend=args.backend,
+                    jobs=args.jobs, resume=args.resume is not None, **grid)
+    return finish_run(
+        args, run_dir, summary, title,
+        n_cells=sum(row["cells"] for row in summary["rows"]),
+        table=render(summary),
+        detail=f", backend={args.backend}, jobs={args.jobs}",
+        telemetry=True,
+    )
 
 
 def serve_main(argv: list[str] | None = None) -> int:
-    from repro.service.backends import BACKENDS
     from repro.service.study import (
         DEFAULT_NS,
         FULL_NS,
@@ -85,76 +113,24 @@ def serve_main(argv: list[str] | None = None) -> int:
         run_sweep,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description=(
-            "Streaming-service scale study: N concurrent sessions through "
-            "the deterministic multiplexer; reports sessions/sec, latency "
-            "percentiles, delivered PSNR, and the served/degraded/shed mix."
-        ),
+    parser = _service_parser(
+        "repro serve",
+        "Streaming-service scale study: N concurrent sessions through "
+        "the deterministic multiplexer; reports sessions/sec, latency "
+        "percentiles, delivered PSNR, and the served/degraded/shed mix.",
+        " ".join(map(str, DEFAULT_NS)),
     )
-    parser.add_argument("--sessions", type=int, nargs="+", default=None,
-                        metavar="N",
-                        help="fleet size(s) to study "
-                             f"(default: {' '.join(map(str, DEFAULT_NS))})")
-    parser.add_argument("--seed", type=int, nargs="+", default=[4],
-                        metavar="S", help="fleet seed(s) (default: 4)")
-    parser.add_argument("--backend", choices=BACKENDS, default="asyncio",
-                        help="execution backend (default: asyncio)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="concurrent session pipelines (default: 1)")
     parser.add_argument("--full", action="store_true",
                         help="include the 10k-session cell (slow)")
-    parser.add_argument("--runs-dir", default=None, metavar="DIR",
-                        help="runs root (default: $REPRO_RUNS or .repro-runs)")
-    parser.add_argument("--run-id", default="default", metavar="ID",
-                        help="run directory name (default: 'default')")
-    parser.add_argument("--resume", default=None, metavar="ID",
-                        help="resume a run: published cells are kept, "
-                             "missing/corrupt ones recompute")
-    parser.add_argument("--verify-complete", action="store_true",
-                        help="exit 1 unless every grid cell is published")
     args = parser.parse_args(argv)
 
     try:
-        _check(args.jobs >= 1, "--jobs must be >= 1")
-        if args.sessions is not None:
-            ns = tuple(args.sessions)
-            _check(all(n > 0 for n in ns), "--sessions must be positive")
-        else:
-            ns = FULL_NS if args.full else DEFAULT_NS
+        ns = _check_service_args(args, FULL_NS if args.full else DEFAULT_NS)
     except CliArgumentError as exc:
         print(f"error: {exc}")
         return 2
 
-    run_id = args.resume or args.run_id
-    run_dir = _runs_root(args.runs_dir) / run_id
-    summary = run_sweep(
-        run_dir,
-        ns=ns,
-        seeds=tuple(args.seed),
-        backend=args.backend,
-        jobs=args.jobs,
-        resume=args.resume is not None,
-    )
-    verb = "resumed" if args.resume else "ran"
-    n_cells = sum(row["cells"] for row in summary["rows"])
-    print(f"{verb} serve study '{run_id}': {n_cells} cells published "
-          f"({summary['skipped_cells']} reused, backend={args.backend}, "
-          f"jobs={args.jobs})")
-    print()
-    print(render_summary(summary))
-    print()
-    print(f"artifacts: {run_dir}")
-    _export_telemetry(run_dir)
-    if summary["missing_cells"]:
-        print(f"missing cells: {', '.join(summary['missing_cells'])}")
-        if args.verify_complete:
-            print("verify-complete FAILED")
-            return 1
-    elif args.verify_complete:
-        print("verify-complete passed: every grid cell is published")
-    return 0
+    return _run(args, "serve", "serve study", run_sweep, render_summary, ns=ns)
 
 
 def abrstudy_main(argv: list[str] | None = None) -> int:
@@ -170,24 +146,17 @@ def abrstudy_main(argv: list[str] | None = None) -> int:
         render_abr_summary,
         run_abr_sweep,
     )
-    from repro.service.backends import BACKENDS
     from repro.transport.bandwidth import PROFILE_NAMES
 
-    parser = argparse.ArgumentParser(
-        prog="repro abrstudy",
-        description=(
-            "Adaptive-bitrate study: sweep delivered PSNR, rebuffer "
-            "ratio, and switch rate against provisioned bandwidth "
-            "across channel-capacity profiles (steady / step_drop / "
-            "walk) and the ABR-policy ladder "
-            "(fixed / buffer / throughput / hybrid)."
-        ),
+    parser = _service_parser(
+        "repro abrstudy",
+        "Adaptive-bitrate study: sweep delivered PSNR, rebuffer "
+        "ratio, and switch rate against provisioned bandwidth "
+        "across channel-capacity profiles (steady / step_drop / "
+        "walk) and the ABR-policy ladder "
+        "(fixed / buffer / throughput / hybrid).",
+        str(ABR_DEFAULT_N),
     )
-    parser.add_argument("--sessions", type=int, nargs="+", default=None,
-                        metavar="N",
-                        help=f"fleet size(s) (default: {ABR_DEFAULT_N})")
-    parser.add_argument("--seed", type=int, nargs="+", default=[4],
-                        metavar="S", help="fleet seed(s) (default: 4)")
     parser.add_argument("--bandwidth", type=int, nargs="+", default=None,
                         metavar="KBPS",
                         help="provisioned bandwidths in kbit/s (default: "
@@ -208,27 +177,12 @@ def abrstudy_main(argv: list[str] | None = None) -> int:
                              f"{ABR_SMOKE_N} sessions, bandwidths "
                              f"{' '.join(map(str, SMOKE_BANDWIDTHS_KBPS))}, "
                              f"profile {SMOKE_PROFILES[0]}")
-    parser.add_argument("--backend", choices=BACKENDS, default="asyncio",
-                        help="execution backend (default: asyncio)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="concurrent delivery pipelines (default: 1)")
-    parser.add_argument("--runs-dir", default=None, metavar="DIR",
-                        help="runs root (default: $REPRO_RUNS or .repro-runs)")
-    parser.add_argument("--run-id", default="default", metavar="ID",
-                        help="run directory name (default: 'default')")
-    parser.add_argument("--resume", default=None, metavar="ID",
-                        help="resume a run: published cells are kept, "
-                             "missing/corrupt ones recompute")
-    parser.add_argument("--verify-complete", action="store_true",
-                        help="exit 1 unless every grid cell is published")
     args = parser.parse_args(argv)
 
     try:
-        _check(args.jobs >= 1, "--jobs must be >= 1")
-        ns = tuple(args.sessions) if args.sessions is not None else (
-            (ABR_SMOKE_N,) if args.smoke else (ABR_DEFAULT_N,)
+        ns = _check_service_args(
+            args, (ABR_SMOKE_N,) if args.smoke else (ABR_DEFAULT_N,)
         )
-        _check(all(n > 0 for n in ns), "--sessions must be positive")
         bandwidths = tuple(args.bandwidth) if args.bandwidth is not None else (
             SMOKE_BANDWIDTHS_KBPS if args.smoke else DEFAULT_BANDWIDTHS_KBPS
         )
@@ -255,42 +209,12 @@ def abrstudy_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}")
         return 2
 
-    run_id = args.resume or args.run_id
-    run_dir = _runs_root(args.runs_dir, "abrstudy") / run_id
-    summary = run_abr_sweep(
-        run_dir,
-        ns=ns,
-        seeds=tuple(args.seed),
-        bandwidths=bandwidths,
-        profiles=profiles,
-        policies=policies,
-        backend=args.backend,
-        jobs=args.jobs,
-        resume=args.resume is not None,
-        ladder=ladder,
-    )
-    verb = "resumed" if args.resume else "ran"
-    n_cells = sum(row["cells"] for row in summary["rows"])
-    print(f"{verb} ABR study '{run_id}': {n_cells} cells published "
-          f"({summary['skipped_cells']} reused, backend={args.backend}, "
-          f"jobs={args.jobs})")
-    print()
-    print(render_abr_summary(summary))
-    print()
-    print(f"artifacts: {run_dir}")
-    _export_telemetry(run_dir)
-    if summary["missing_cells"]:
-        print(f"missing cells: {', '.join(summary['missing_cells'])}")
-        if args.verify_complete:
-            print("verify-complete FAILED")
-            return 1
-    elif args.verify_complete:
-        print("verify-complete passed: every grid cell is published")
-    return 0
+    return _run(args, "abrstudy", "ABR study", run_abr_sweep,
+                render_abr_summary, ns=ns, bandwidths=bandwidths,
+                profiles=profiles, policies=policies, ladder=ladder)
 
 
 def faultstudy_main(argv: list[str] | None = None) -> int:
-    from repro.service.backends import BACKENDS
     from repro.service.recovery import POLICY_LADDER
     from repro.service.study import (
         DEFAULT_INTENSITIES,
@@ -301,20 +225,14 @@ def faultstudy_main(argv: list[str] | None = None) -> int:
         run_fault_sweep,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="repro faultstudy",
-        description=(
-            "Fault-injection study: sweep availability, virtual MTTR, "
-            "retry amplification, and delivered PSNR against fault "
-            "intensity across the recovery-policy ladder "
-            "(none / retry / retry_breaker / full)."
-        ),
+    parser = _service_parser(
+        "repro faultstudy",
+        "Fault-injection study: sweep availability, virtual MTTR, "
+        "retry amplification, and delivered PSNR against fault "
+        "intensity across the recovery-policy ladder "
+        "(none / retry / retry_breaker / full).",
+        str(FAULT_DEFAULT_N),
     )
-    parser.add_argument("--sessions", type=int, nargs="+", default=None,
-                        metavar="N",
-                        help=f"fleet size(s) (default: {FAULT_DEFAULT_N})")
-    parser.add_argument("--seed", type=int, nargs="+", default=[4],
-                        metavar="S", help="fleet seed(s) (default: 4)")
     parser.add_argument("--intensity", type=float, nargs="+", default=None,
                         metavar="I",
                         help="fault intensities in [0, 1] (default: "
@@ -326,27 +244,12 @@ def faultstudy_main(argv: list[str] | None = None) -> int:
                         help="CI smoke grid: "
                              f"{FAULT_SMOKE_N} sessions, intensities "
                              f"{' '.join(map(str, SMOKE_INTENSITIES))}")
-    parser.add_argument("--backend", choices=BACKENDS, default="asyncio",
-                        help="execution backend (default: asyncio)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="concurrent session pipelines (default: 1)")
-    parser.add_argument("--runs-dir", default=None, metavar="DIR",
-                        help="runs root (default: $REPRO_RUNS or .repro-runs)")
-    parser.add_argument("--run-id", default="default", metavar="ID",
-                        help="run directory name (default: 'default')")
-    parser.add_argument("--resume", default=None, metavar="ID",
-                        help="resume a run: published cells are kept, "
-                             "missing/corrupt ones recompute")
-    parser.add_argument("--verify-complete", action="store_true",
-                        help="exit 1 unless every grid cell is published")
     args = parser.parse_args(argv)
 
     try:
-        _check(args.jobs >= 1, "--jobs must be >= 1")
-        ns = tuple(args.sessions) if args.sessions is not None else (
-            (FAULT_SMOKE_N,) if args.smoke else (FAULT_DEFAULT_N,)
+        ns = _check_service_args(
+            args, (FAULT_SMOKE_N,) if args.smoke else (FAULT_DEFAULT_N,)
         )
-        _check(all(n > 0 for n in ns), "--sessions must be positive")
         intensities = tuple(args.intensity) if args.intensity is not None else (
             SMOKE_INTENSITIES if args.smoke else DEFAULT_INTENSITIES
         )
@@ -357,33 +260,6 @@ def faultstudy_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}")
         return 2
 
-    run_id = args.resume or args.run_id
-    run_dir = _runs_root(args.runs_dir, "faultstudy") / run_id
-    summary = run_fault_sweep(
-        run_dir,
-        ns=ns,
-        seeds=tuple(args.seed),
-        intensities=intensities,
-        policies=policies,
-        backend=args.backend,
-        jobs=args.jobs,
-        resume=args.resume is not None,
-    )
-    verb = "resumed" if args.resume else "ran"
-    n_cells = sum(row["cells"] for row in summary["rows"])
-    print(f"{verb} fault study '{run_id}': {n_cells} cells published "
-          f"({summary['skipped_cells']} reused, backend={args.backend}, "
-          f"jobs={args.jobs})")
-    print()
-    print(render_fault_summary(summary))
-    print()
-    print(f"artifacts: {run_dir}")
-    _export_telemetry(run_dir)
-    if summary["missing_cells"]:
-        print(f"missing cells: {', '.join(summary['missing_cells'])}")
-        if args.verify_complete:
-            print("verify-complete FAILED")
-            return 1
-    elif args.verify_complete:
-        print("verify-complete passed: every grid cell is published")
-    return 0
+    return _run(args, "faultstudy", "fault study", run_fault_sweep,
+                render_fault_summary, ns=ns, intensities=intensities,
+                policies=policies)

@@ -9,8 +9,9 @@ Virtual time is the determinism keystone.  The multiplexer never reads a
 wall clock for a scheduling decision: sessions arrive, queue, get
 admitted, degraded, or shed on a simulated timeline that is a pure
 function of ``(fleet_seed, n_sessions, config)``.  Wall time only
-determines how fast the answer is computed -- with one worker or eight,
-asyncio or a supervised fleet, the answer itself is bit-identical.
+determines how fast the answer is computed -- with the ``serial``
+backend (the default) or a supervised ``fleet`` of one worker or eight,
+the answer itself is bit-identical.
 """
 
 from __future__ import annotations

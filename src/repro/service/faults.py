@@ -25,7 +25,7 @@ dedicated entropy branch in ``service/seeding.py`` -- no shared
 generator, no draw-order coupling.  Retries of a faulted session draw
 *fresh* outcomes (attempt 2 has its own ``(session, 2)`` draw), which is
 exactly the transient-failure shape retry ladders exist to absorb, and
-the whole plan is identical across serial/asyncio/fleet backends,
+the whole plan is identical across the serial and fleet backends,
 ``--jobs`` counts, ``--resume``, and chaos-battered reruns.
 """
 

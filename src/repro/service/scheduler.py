@@ -6,7 +6,7 @@ for one shared encode budget (a service rate in macroblock units per
 virtual ms).  Every decision -- admit, degrade, shed -- is made in
 arrival order from state that depends only on earlier arrivals, so the
 whole schedule is a pure function of ``(specs, config)``.  Wall-clock
-parallelism (worker count, asyncio interleaving) can never change it.
+parallelism (``serial`` or a ``fleet`` of N workers) can never change it.
 
 Backpressure ladder, in the order it is applied to each arrival:
 

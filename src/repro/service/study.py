@@ -18,22 +18,23 @@ cell is a pure function of its grid coordinates and the config --
 latencies are *virtual* milliseconds from the deterministic scheduler
 and recovery timeline, never wall-clock -- so two runs, a run and its
 ``--resume``, and runs at different ``--jobs``/backends are
-byte-identical.  Cells are published atomically with content digests;
-wall-clock throughput (which *does* vary run to run) goes to a
-separate, never-diffed telemetry sidecar.
+byte-identical.  Cells are published atomically with content digests
+by :func:`repro.core.sweep.run_grid`; wall-clock throughput (which
+*does* vary run to run) goes to its separate, never-diffed telemetry
+sidecar.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from repro.core.runner.chaos import POINT_WORKER_CELL, strike_from_env
-from repro.ioutil import atomic_write, sha256_hex
+from repro.core.sweep import load_records, run_grid
+from repro.ioutil import sha256_hex
 from repro.obs.metrics import Histogram
-from repro.service.backends import execute_schedule
+from repro.service.backends import run_tasks, session_key, session_tasks
 from repro.service.config import DEFAULT_CONFIG, ServiceConfig
 from repro.service.faults import FaultConfig, FaultPlan
 from repro.service.recovery import (
@@ -93,6 +94,27 @@ LATENCY_BUCKETS_VMS = (
 _SESSION_TABLE_LIMIT = 64
 
 
+def _latency_and_quality(
+    latency: Histogram, psnr_values: list, decode_outcomes: dict
+) -> dict:
+    """The record sections serve and fault cells share."""
+    return {
+        "latency_vms": {
+            "p50": round(latency.percentile(50), 4),
+            "p95": round(latency.percentile(95), 4),
+            "p99": round(latency.percentile(99), 4),
+            "mean": round(latency.mean, 4),
+            "observations": latency.total,
+        },
+        "quality": {
+            "mean_psnr_db": round(
+                sum(psnr_values) / len(psnr_values), 4
+            ) if psnr_values else 0.0,
+            "decode_outcomes": decode_outcomes,
+        },
+    }
+
+
 @dataclass(frozen=True)
 class ServeCell:
     """One (fleet size, fleet seed) study point."""
@@ -119,7 +141,7 @@ def run_cell(
     wall_start = time.perf_counter()
     specs = build_fleet(cell.seed, cell.n_sessions, config)
     schedule = schedule_fleet(specs, config)
-    results = execute_schedule(specs, schedule, config, backend, jobs)
+    results = run_tasks(session_tasks(specs, schedule, config), backend, jobs)
     wall_s = time.perf_counter() - wall_start
 
     latency = Histogram("service.latency_vms", LATENCY_BUCKETS_VMS)
@@ -139,7 +161,7 @@ def run_cell(
         if not plan.admitted:
             lines.append(f"{plan.session_id}:shed:{plan.shed_reason}")
             continue
-        result = results[plan.session_id]
+        result = results[session_key(plan.session_id)]
         total_vms = round(
             plan.finish_vms - plan.arrival_vms
             + result.transport_vms + result.decode_vms,
@@ -209,19 +231,7 @@ def run_cell(
             "makespan_vms": round(window_vms, 4),
             "peak_queue_depth": schedule.peak_queue_depth,
         },
-        "latency_vms": {
-            "p50": round(latency.percentile(50), 4),
-            "p95": round(latency.percentile(95), 4),
-            "p99": round(latency.percentile(99), 4),
-            "mean": round(latency.mean, 4),
-            "observations": latency.total,
-        },
-        "quality": {
-            "mean_psnr_db": round(
-                sum(psnr_values) / len(psnr_values), 4
-            ) if psnr_values else 0.0,
-            "decode_outcomes": decode_outcomes,
-        },
+        **_latency_and_quality(latency, psnr_values, decode_outcomes),
         "burstiness": {
             "mean_stream_bits": round(mean_bits, 1),
             "peak_stream_bits": max(bits) if bits else 0,
@@ -243,38 +253,6 @@ def run_cell(
     return record, wall
 
 
-def _canonical(record: dict) -> str:
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
-
-
-def _cell_path(run_dir: Path, cell: ServeCell) -> Path:
-    return run_dir / "cells" / f"{cell.cell_id}.json"
-
-
-def _load_valid_cell(path: Path) -> dict | None:
-    """A previously published cell record, or None if absent/corrupt."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    digest = payload.pop("digest", None)
-    if digest != sha256_hex(_canonical(payload).encode("utf-8")):
-        return None
-    return payload
-
-
-def _next_attempt(run_dir: Path, cell: ServeCell) -> int:
-    """Persisted per-cell attempt counter (chaos draws vary per attempt)."""
-    marker = run_dir / "cells" / f"{cell.cell_id}.attempt"
-    try:
-        attempt = int(marker.read_text()) + 1
-    except (OSError, ValueError):
-        attempt = 1
-    marker.parent.mkdir(parents=True, exist_ok=True)
-    marker.write_text(str(attempt))
-    return attempt
-
-
 def grid_cells(ns, seeds) -> list[ServeCell]:
     return [ServeCell(n, seed) for n in ns for seed in seeds]
 
@@ -289,51 +267,25 @@ def run_sweep(
     resume: bool = False,
 ) -> dict:
     """Run (or finish) a scale sweep; returns the summary dict."""
-    run_dir = Path(run_dir)
-    cells = grid_cells(ns, seeds)
-    skipped = 0
-    wall_records = []
-    for cell in cells:
-        path = _cell_path(run_dir, cell)
-        if resume and _load_valid_cell(path) is not None:
-            skipped += 1
-            continue
-        attempt = _next_attempt(run_dir, cell)
-        # Chaos kill/spin drills strike here, exactly like study workers.
-        strike_from_env(POINT_WORKER_CELL, f"serve:{cell.cell_id}/a{attempt}")
-        record, wall = run_cell(cell, config, backend, jobs)
-        record["digest"] = sha256_hex(_canonical(record).encode("utf-8"))
-        atomic_write(path, _canonical(record))
-        wall_records.append(wall)
-    if wall_records:
-        atomic_write(
-            run_dir / "telemetry" / "wall.json",
-            _canonical(
-                {"schema": "repro-service-wall", "version": 1,
-                 "cells": wall_records}
-            ),
-        )
-    summary = summarize(run_dir, ns, seeds)
-    atomic_write(run_dir / "summary.json", _canonical(summary))
-    atomic_write(run_dir / "table.txt", render_summary(summary) + "\n")
-    summary["skipped_cells"] = skipped
-    return summary
+    return run_grid(
+        run_dir,
+        grid_cells(ns, seeds),
+        partial(run_cell, config=config, backend=backend, jobs=jobs),
+        partial(summarize, run_dir, ns, seeds),
+        render_summary,
+        label="serve:",
+        resume=resume,
+    )
 
 
 def summarize(run_dir: str | Path, ns, seeds) -> dict:
     """Aggregate published cells into the per-N scale curve."""
-    run_dir = Path(run_dir)
     rows = []
     missing: list[str] = []
     for n in ns:
-        records = []
-        for seed in seeds:
-            cell = ServeCell(n, seed)
-            record = _load_valid_cell(_cell_path(run_dir, cell))
-            if record is None:
-                missing.append(cell.cell_id)
-                continue
-            records.append(record)
+        records = load_records(
+            run_dir, [ServeCell(n, seed) for seed in seeds], missing
+        )
         if not records:
             continue
         k = len(records)
@@ -453,8 +405,9 @@ def run_fault_cell(
             f"outcome conservation violated in {cell.cell_id}: "
             f"{recovery.outcomes} vs {schedule.offered} offered"
         )
-    results = execute_schedule(specs, schedule, config, backend, jobs,
-                               recovery=recovery)
+    results = run_tasks(
+        session_tasks(specs, schedule, config, recovery), backend, jobs
+    )
     wall_s = time.perf_counter() - wall_start
 
     latency = Histogram("service.fault_latency_vms", LATENCY_BUCKETS_VMS)
@@ -497,7 +450,7 @@ def run_fault_cell(
                     }
                 )
             continue
-        result = results[chain.session_id]
+        result = results[session_key(chain.session_id)]
         total_vms = round(
             chain.finish_vms - sched_plan.arrival_vms
             + result.transport_vms + result.decode_vms,
@@ -556,19 +509,7 @@ def run_fault_cell(
             },
         },
         "faults": dict(recovery.fault_counts),
-        "latency_vms": {
-            "p50": round(latency.percentile(50), 4),
-            "p95": round(latency.percentile(95), 4),
-            "p99": round(latency.percentile(99), 4),
-            "mean": round(latency.mean, 4),
-            "observations": latency.total,
-        },
-        "quality": {
-            "mean_psnr_db": round(
-                sum(psnr_values) / len(psnr_values), 4
-            ) if psnr_values else 0.0,
-            "decode_outcomes": decode_outcomes,
-        },
+        **_latency_and_quality(latency, psnr_values, decode_outcomes),
         "fleet_digest": sha256_hex("\n".join(lines).encode("utf-8")),
     }
     if want_sessions:
@@ -597,37 +538,15 @@ def run_fault_sweep(
     resume: bool = False,
 ) -> dict:
     """Run (or finish) a fault-intensity sweep; returns the summary."""
-    run_dir = Path(run_dir)
-    cells = fault_grid_cells(ns, seeds, intensities, policies)
-    skipped = 0
-    wall_records = []
-    for cell in cells:
-        path = _cell_path(run_dir, cell)
-        if resume and _load_valid_cell(path) is not None:
-            skipped += 1
-            continue
-        attempt = _next_attempt(run_dir, cell)
-        # Chaos kill/spin drills strike here, exactly like study workers.
-        strike_from_env(
-            POINT_WORKER_CELL, f"faultstudy:{cell.cell_id}/a{attempt}"
-        )
-        record, wall = run_fault_cell(cell, config, backend, jobs)
-        record["digest"] = sha256_hex(_canonical(record).encode("utf-8"))
-        atomic_write(path, _canonical(record))
-        wall_records.append(wall)
-    if wall_records:
-        atomic_write(
-            run_dir / "telemetry" / "wall.json",
-            _canonical(
-                {"schema": "repro-service-wall", "version": 1,
-                 "cells": wall_records}
-            ),
-        )
-    summary = summarize_faults(run_dir, ns, seeds, intensities, policies)
-    atomic_write(run_dir / "summary.json", _canonical(summary))
-    atomic_write(run_dir / "table.txt", render_fault_summary(summary) + "\n")
-    summary["skipped_cells"] = skipped
-    return summary
+    return run_grid(
+        run_dir,
+        fault_grid_cells(ns, seeds, intensities, policies),
+        partial(run_fault_cell, config=config, backend=backend, jobs=jobs),
+        partial(summarize_faults, run_dir, ns, seeds, intensities, policies),
+        render_fault_summary,
+        label="faultstudy:",
+        resume=resume,
+    )
 
 
 def summarize_faults(
@@ -635,20 +554,15 @@ def summarize_faults(
 ) -> dict:
     """Aggregate published cells into the availability-vs-intensity
     curve, one row per (intensity, policy) rung."""
-    run_dir = Path(run_dir)
     rows = []
     missing: list[str] = []
     for intensity in intensities:
         for policy in policies:
-            records = []
-            for n in ns:
-                for seed in seeds:
-                    cell = FaultCell(n, seed, intensity, policy)
-                    record = _load_valid_cell(_cell_path(run_dir, cell))
-                    if record is None:
-                        missing.append(cell.cell_id)
-                        continue
-                    records.append(record)
+            records = load_records(
+                run_dir,
+                fault_grid_cells(ns, seeds, (intensity,), (policy,)),
+                missing,
+            )
             if not records:
                 continue
             k = len(records)

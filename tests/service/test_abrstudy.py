@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.runner.chaos import POINT_WORKER_CELL, PROFILES, ChaosInjector
-from repro.obs.schema import validate_abrstudy, validate_file
+from repro.obs.schema import validate_file, validate_study_summary
 from repro.service.abr import ABR_POLICY_LADDER
 from repro.service.abrstudy import (
     ABR_DEFAULT_N,
@@ -164,10 +164,10 @@ class TestRunAbrSweep:
 
     def test_jobs_and_backend_invariance(self, tmp_path):
         self.sweep(tmp_path / "serial", backend="serial", jobs=1)
-        self.sweep(tmp_path / "async4", backend="asyncio", jobs=4)
+        self.sweep(tmp_path / "fleet1", backend="fleet", jobs=1)
         self.sweep(tmp_path / "fleet2", backend="fleet", jobs=2)
         reference = read_artifacts(tmp_path / "serial")
-        assert read_artifacts(tmp_path / "async4") == reference
+        assert read_artifacts(tmp_path / "fleet1") == reference
         assert read_artifacts(tmp_path / "fleet2") == reference
 
     def test_resume_reuses_published_cells(self, tmp_path):
@@ -197,7 +197,7 @@ class TestRunAbrSweep:
         broken["rows"][0]["outcomes"]["served"] += 1
         assert any(
             "conservation" in problem
-            for problem in validate_abrstudy(broken)
+            for problem in validate_study_summary(broken, "repro-abrstudy")
         )
 
     def test_summary_names_missing_cells(self, tmp_path):
@@ -300,7 +300,7 @@ class TestAbrstudyCli:
             ["--runs-dir", str(tmp_path), "--sessions", "12",
              "--bandwidth", "16", "36", "--profile", "step_drop",
              "--policy", "fixed", "hybrid",
-             "--backend", "asyncio", "--jobs", "4", "--run-id", "c"]
+             "--backend", "fleet", "--jobs", "2", "--run-id", "c"]
         ) == 0
         a = read_artifacts(tmp_path / "a")
         assert read_artifacts(tmp_path / "b") == a

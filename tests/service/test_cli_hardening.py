@@ -49,6 +49,15 @@ class TestServeRejections:
         run_rejected(capsys, serve_main,
                      ["--runs-dir", str(tmp_path), "--jobs", "0"],
                      "--jobs")
+        # Jobs the serial backend would ignore are rejected too.
+        run_rejected(capsys, serve_main,
+                     ["--runs-dir", str(tmp_path), "--backend", "serial",
+                      "--jobs", "4"],
+                     "--backend fleet")
+        run_rejected(capsys, serve_main,
+                     ["--runs-dir", str(tmp_path), "--jobs", "2"],
+                     "--backend fleet")
+        assert not (tmp_path / "default").exists()
 
 
 class TestFaultstudyRejections:
@@ -69,6 +78,15 @@ class TestFaultstudyRejections:
         run_rejected(capsys, faultstudy_main,
                      ["--runs-dir", str(tmp_path), "--jobs", "0"],
                      "--jobs")
+        # Jobs the serial backend would ignore are rejected too.
+        run_rejected(capsys, faultstudy_main,
+                     ["--runs-dir", str(tmp_path), "--backend", "serial",
+                      "--jobs", "4"],
+                     "--backend fleet")
+        run_rejected(capsys, faultstudy_main,
+                     ["--runs-dir", str(tmp_path), "--jobs", "2"],
+                     "--backend fleet")
+        assert not (tmp_path / "default").exists()
 
 
 class TestAbrstudyRejections:
@@ -100,3 +118,12 @@ class TestAbrstudyRejections:
         run_rejected(capsys, abrstudy_main,
                      ["--runs-dir", str(tmp_path), "--jobs", "0"],
                      "--jobs")
+        # Jobs the serial backend would ignore are rejected too.
+        run_rejected(capsys, abrstudy_main,
+                     ["--runs-dir", str(tmp_path), "--backend", "serial",
+                      "--jobs", "4"],
+                     "--backend fleet")
+        run_rejected(capsys, abrstudy_main,
+                     ["--runs-dir", str(tmp_path), "--jobs", "2"],
+                     "--backend fleet")
+        assert not (tmp_path / "default").exists()

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.runner.chaos import POINT_WORKER_CELL, PROFILES, ChaosInjector
-from repro.obs.schema import validate_faultstudy, validate_file
+from repro.obs.schema import validate_file, validate_study_summary
 from repro.service.cli import faultstudy_main
 from repro.service.config import DEFAULT_CONFIG
 from repro.service.faults import FaultConfig, FaultPlan
@@ -34,7 +34,7 @@ from repro.service.study import (
     run_fault_sweep,
     summarize_faults,
 )
-from repro.service.backends import execute_schedule
+from repro.service.backends import run_tasks, session_tasks
 from repro.service.session import build_fleet
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -97,12 +97,12 @@ class TestRunFaultCell:
         config = DEFAULT_CONFIG
         specs = build_fleet(4, 16, config)
         schedule = schedule_fleet(specs, config)
-        plain = execute_schedule(specs, schedule, config)
+        plain = run_tasks(session_tasks(specs, schedule, config))
         plan = FaultPlan(4, FaultConfig(intensity=0.0))
         report = simulate_recovery(
             specs, schedule, plan, POLICIES["full"], config
         )
-        gated = execute_schedule(specs, schedule, config, recovery=report)
+        gated = run_tasks(session_tasks(specs, schedule, config, report))
         assert gated == plain
 
     def test_policy_ladder_differentiates(self):
@@ -152,8 +152,8 @@ class TestRunFaultSweep:
 
     def test_jobs_and_backend_invariance(self, tmp_path):
         self.sweep(tmp_path / "serial", backend="serial", jobs=1)
-        self.sweep(tmp_path / "async4", backend="asyncio", jobs=4)
-        assert read_artifacts(tmp_path / "async4") == read_artifacts(
+        self.sweep(tmp_path / "fleet2", backend="fleet", jobs=2)
+        assert read_artifacts(tmp_path / "fleet2") == read_artifacts(
             tmp_path / "serial"
         )
 
@@ -184,7 +184,7 @@ class TestRunFaultSweep:
         broken["rows"][0]["outcomes"]["served"] += 1
         assert any(
             "conservation" in problem
-            for problem in validate_faultstudy(broken)
+            for problem in validate_study_summary(broken, "repro-faultstudy")
         )
 
     def test_summary_names_missing_cells(self, tmp_path):
@@ -287,7 +287,7 @@ class TestFaultstudyCli:
         assert faultstudy_main(
             ["--runs-dir", str(tmp_path), "--sessions", "12",
              "--intensity", "0", "0.6", "--policy", "none", "retry",
-             "--backend", "asyncio", "--jobs", "4", "--run-id", "c"]
+             "--backend", "fleet", "--jobs", "2", "--run-id", "c"]
         ) == 0
         a = read_artifacts(tmp_path / "a")
         assert read_artifacts(tmp_path / "b") == a

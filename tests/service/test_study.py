@@ -121,11 +121,11 @@ class TestRunSweep:
 
     def test_jobs_and_backend_invariance(self, tmp_path):
         self.sweep(tmp_path / "serial", backend="serial", jobs=1)
-        self.sweep(tmp_path / "async1", backend="asyncio", jobs=1)
-        self.sweep(tmp_path / "async4", backend="asyncio", jobs=4)
+        self.sweep(tmp_path / "fleet1", backend="fleet", jobs=1)
+        self.sweep(tmp_path / "fleet2", backend="fleet", jobs=2)
         reference = read_artifacts(tmp_path / "serial")
-        assert read_artifacts(tmp_path / "async1") == reference
-        assert read_artifacts(tmp_path / "async4") == reference
+        assert read_artifacts(tmp_path / "fleet1") == reference
+        assert read_artifacts(tmp_path / "fleet2") == reference
 
     def test_resume_reuses_published_cells(self, tmp_path):
         first = self.sweep(tmp_path / "run")
@@ -228,14 +228,14 @@ class TestServeCli:
 
     def test_acceptance_32_sessions_twice_identical(self, tmp_path, capsys):
         """ISSUE acceptance: serve --sessions 32 --seed 4, twice, byte-
-        identical tables; and --jobs 1 vs --jobs 4 agree."""
+        identical tables; and serial vs a two-worker fleet agree."""
         assert self.run(tmp_path, "--sessions", "32", "--seed", "4",
                         "--run-id", "a") == 0
         assert self.run(tmp_path, "--sessions", "32", "--seed", "4",
                         "--run-id", "b") == 0
         assert serve_main(
             ["--runs-dir", str(tmp_path), "--sessions", "32", "--seed", "4",
-             "--backend", "asyncio", "--jobs", "4", "--run-id", "c"]
+             "--backend", "fleet", "--jobs", "2", "--run-id", "c"]
         ) == 0
         a = read_artifacts(tmp_path / "a")
         assert read_artifacts(tmp_path / "b") == a
