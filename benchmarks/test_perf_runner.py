@@ -1,9 +1,11 @@
 """Overhead benchmark for the supervised study runner.
 
-Times the crash-safe orchestration stack (supervised pool + write-ahead
-manifest) on the ``tiny`` grid against the same cells executed inline,
-and snapshots the run's per-cell attempt/latency telemetry.  Results go
-to ``BENCH_runner.json`` at the repository root.
+Times the crash-safe orchestration stack (supervised pool + the JSON
+cell store of :mod:`repro.core.sweep`, with its digest-verified,
+read-back publishes) on the ``tiny`` grid against the same cells
+executed inline, and snapshots the per-cell attempt/latency rows of the
+run's ``telemetry/attempts.json``.  Results go to ``BENCH_runner.json``
+at the repository root.
 
 Run standalone (writes the JSON unconditionally)::
 
@@ -23,7 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.runner.orchestrator import GRIDS, execute_cell, run_study
+from repro.core.runner.orchestrator import (
+    GRIDS,
+    execute_cell,
+    load_telemetry,
+    run_study,
+)
 from repro.ioutil import atomic_write
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,17 +52,16 @@ def time_inline() -> float:
 
 def time_supervised() -> tuple[float, float, dict]:
     """One supervised run plus its resume, and the run's telemetry."""
-    with tempfile.TemporaryDirectory(prefix="bench-runner-") as runs_dir:
+    with tempfile.TemporaryDirectory(prefix="bench-runner-") as run_dir:
         start = time.perf_counter()
-        outcome = run_study(
-            grid=GRID, scale=SCALE, jobs=1, runs_dir=runs_dir, run_id="bench"
-        )
+        outcome = run_study(run_dir, grid=GRID, scale=SCALE, jobs=1)
         supervised_seconds = time.perf_counter() - start
+        telemetry = load_telemetry(run_dir)
         start = time.perf_counter()
-        resumed = run_study(runs_dir=runs_dir, run_id="bench", resume=True)
+        resumed = run_study(run_dir, resume=True)
         resume_seconds = time.perf_counter() - start
-        assert outcome.all_done and resumed.all_done
-        return supervised_seconds, resume_seconds, outcome.telemetry
+        assert not outcome["missing_cells"] and not resumed["missing_cells"]
+        return supervised_seconds, resume_seconds, telemetry
 
 
 def run_benchmark() -> dict:
@@ -116,7 +122,7 @@ def test_resume_is_near_free(bench_results):
 
 
 def test_supervision_overhead_bounded(bench_results):
-    """Worker spawn + heartbeat + manifest I/O must stay a small constant
+    """Worker spawn + heartbeat + cell-store I/O must stay a small constant
     (seconds, not minutes) on top of the inline pipeline."""
     assert bench_results["supervision_overhead_seconds"] < 10.0, bench_results
 

@@ -1,9 +1,7 @@
-"""Crash-safe study orchestration: supervision, manifests, chaos.
+"""Crash-safe study orchestration: supervision, chaos, ``repro study``.
 
 - :mod:`repro.core.runner.supervisor` -- the supervised worker pool
   (heartbeats, watchdog budgets, retry/backoff, quarantine);
-- :mod:`repro.core.runner.manifest` -- atomic write-ahead run manifests
-  enabling ``repro study --resume``;
 - :mod:`repro.core.runner.chaos` -- deterministic fault injection
   (``REPRO_CHAOS=<seed>:<profile>``);
 - :mod:`repro.core.runner.deadline` -- the shared wall-clock budget
@@ -12,6 +10,10 @@
 - :mod:`repro.core.runner.orchestrator` -- ``repro study`` itself
   (imported explicitly; not re-exported here to keep the dependency
   graph acyclic with :mod:`repro.core.study`).
+
+Runs persist through :mod:`repro.core.sweep`, the digest-verified JSON
+cell store all five study families share (``study``, ``resilience``,
+``serve``, ``faultstudy``, ``abrstudy``); no cell is pickled to disk.
 """
 
 from repro.core.runner.chaos import (
@@ -25,12 +27,6 @@ from repro.core.runner.chaos import (
 )
 from repro.core.runner.clock import REAL_CLOCK, Clock, FakeClock, RealClock
 from repro.core.runner.deadline import BudgetExpired, time_budget
-from repro.core.runner.manifest import (
-    ManifestError,
-    RunManifest,
-    list_runs,
-    runs_root,
-)
 from repro.core.runner.supervisor import (
     BackoffScheduler,
     QuarantinedTaskError,
@@ -50,20 +46,16 @@ __all__ = [
     "ChaosProfile",
     "Clock",
     "FakeClock",
-    "ManifestError",
     "PROFILES",
     "QuarantinedTaskError",
     "REAL_CLOCK",
     "RealClock",
     "RetryPolicy",
-    "RunManifest",
     "SupervisedPool",
     "TaskAttempt",
     "TaskOutcome",
     "WorkerBudget",
     "chaos_from_env",
-    "list_runs",
     "parse_chaos_spec",
-    "runs_root",
     "time_budget",
 ]

@@ -4,7 +4,7 @@ PR 2's bitstream fuzzer proved the *codec* survives hostile bits; this
 module applies the same replayable-from-a-seed discipline to the
 *orchestrator*: worker kills, process freezes, runaway spins, transient
 I/O errors, and torn artifact writes, injected at named points in the
-supervised pool, the trace cache, and the run manifest.
+supervised pool, the trace cache, and the study cell store.
 
 Activation: ``REPRO_CHAOS=<seed>[:<profile>]`` (e.g. ``REPRO_CHAOS=7:kills``).
 Unset (or profile ``none``) means every injection point is a no-op.
@@ -48,8 +48,8 @@ FAULTS = ("kill", "stop", "spin", "io_error", "torn_write")
 POINT_WORKER_CELL = "runner.worker.cell"
 POINT_TRACE_LOAD = "trace.cache.load"
 POINT_TRACE_STORE = "trace.cache.store"
-POINT_MANIFEST_CELL = "manifest.cell.write"
-POINT_MANIFEST_INDEX = "manifest.index.write"
+#: Every record the cell store (:func:`repro.core.sweep.publish`) writes.
+POINT_STORE_WRITE = "store.write"
 
 
 class ChaosError(OSError):
@@ -84,8 +84,8 @@ PROFILES = {
         "io",
         (
             ("trace.cache.", "io_error", 0.20),
-            ("manifest.", "io_error", 0.20),
-            ("manifest.", "torn_write", 0.20),
+            (POINT_STORE_WRITE, "io_error", 0.20),
+            (POINT_STORE_WRITE, "torn_write", 0.20),
         ),
     ),
     # A little of everything, at rates a 3-attempt ladder usually clears.
@@ -95,8 +95,8 @@ PROFILES = {
             (POINT_WORKER_CELL, "kill", 0.10),
             (POINT_WORKER_CELL, "spin", 0.05),
             ("trace.cache.", "io_error", 0.05),
-            ("manifest.", "io_error", 0.05),
-            ("manifest.", "torn_write", 0.05),
+            (POINT_STORE_WRITE, "io_error", 0.05),
+            (POINT_STORE_WRITE, "torn_write", 0.05),
         ),
     ),
     # High rates across every point: quarantines are expected, silent
@@ -108,8 +108,8 @@ PROFILES = {
             (POINT_WORKER_CELL, "stop", 0.10),
             (POINT_WORKER_CELL, "spin", 0.10),
             ("trace.cache.", "io_error", 0.15),
-            ("manifest.", "io_error", 0.15),
-            ("manifest.", "torn_write", 0.15),
+            (POINT_STORE_WRITE, "io_error", 0.15),
+            (POINT_STORE_WRITE, "torn_write", 0.15),
         ),
     ),
 }

@@ -5,143 +5,114 @@
    $ python -m repro study                         # crash-safe full-table run
    $ python -m repro study --resume <run-id>       # finish a killed run
    $ python -m repro study --list-runs             # what's on disk
-   $ python -m repro study --report <run-id>       # failure summary
+   $ python -m repro study --report <run-id>       # per-cell attempt history
    $ python -m repro chaos --cases 100 --seed 0    # seeded chaos sweep
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 
 
 def study_main(argv: list[str] | None = None) -> int:
     from repro.core.experiments import SCALES
     from repro.core.runner.orchestrator import (
-        CELL_BUDGET_ENV,
+        DEFAULT_CELL_BUDGET_S,
         GRIDS,
-        assemble_artifacts,
-        list_runs,
         run_study,
+        status_report,
+        statuses,
     )
-    from repro.core.runner.manifest import ManifestError, RunManifest, runs_root
-    from repro.core.runner.supervisor import RetryPolicy
+    from repro.core.runner.supervisor import RetryPolicy, WorkerBudget
+    from repro.core.sweep import (
+        StoreError,
+        add_run_options,
+        finish_run,
+        load_record,
+        run_dir_for,
+        runs_root,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro study",
         description=(
             "Crash-safe study orchestration: supervised workers, "
-            "write-ahead manifest, resume."
+            "digest-verified cell store, resume."
         ),
     )
-    parser.add_argument("--grid", choices=sorted(GRIDS), default="tables",
-                        help="experimental grid to run (default: tables)")
+    parser.add_argument("--grid", choices=sorted(GRIDS), default=None,
+                        help="experimental grid to run (default: tables; "
+                             "a resume keeps the run's own grid)")
     parser.add_argument("--scale", choices=sorted(SCALES), default=None,
-                        help="tracing effort preset (default: $REPRO_SCALE)")
+                        help="tracing effort preset (default: $REPRO_SCALE; "
+                             "a resume keeps the run's own scale)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="supervised cell workers (default: $REPRO_JOBS)")
-    parser.add_argument("--runs-dir", default=None, metavar="DIR",
-                        help="runs root (default: $REPRO_RUNS or .repro-runs)")
-    parser.add_argument("--run-id", default=None, metavar="ID",
-                        help="name the new run (default: generated)")
-    parser.add_argument("--resume", default=None, metavar="ID",
-                        help="resume an existing run: completed cells are "
-                             "skipped, failed/missing ones re-execute")
     parser.add_argument("--list-runs", action="store_true",
                         help="list runs under the runs root and exit")
     parser.add_argument("--report", default=None, metavar="ID",
-                        help="print a run's failure summary and exit")
+                        help="print a run's per-cell status and attempt "
+                             "history, and exit")
     parser.add_argument("--max-attempts", type=int, default=3, metavar="N",
                         help="supervised attempts per cell (default: 3)")
-    parser.add_argument("--cell-budget", type=float, default=None, metavar="S",
-                        help=f"per-cell wall budget in seconds "
-                             f"(default: ${CELL_BUDGET_ENV} or 1800)")
-    parser.add_argument("--no-artifacts", action="store_true",
-                        help="skip rendering tables/figures from the manifest")
-    parser.add_argument("--verify-complete", action="store_true",
-                        help="exit 1 unless every cell reached a terminal "
-                             "state (done or quarantined)")
-    parser.add_argument("--strict", action="store_true",
-                        help="with --verify-complete, also fail on "
-                             "quarantined cells")
+    parser.add_argument("--cell-budget", type=float,
+                        default=DEFAULT_CELL_BUDGET_S, metavar="S",
+                        help="per-cell wall budget in seconds "
+                             f"(default: {DEFAULT_CELL_BUDGET_S:.0f})")
+    add_run_options(parser)
     args = parser.parse_args(argv)
+    root = runs_root(args.runs_dir, "study")
 
     if args.list_runs:
-        summaries = list_runs(args.runs_dir)
-        if not summaries:
-            print(f"no runs under {runs_root(args.runs_dir)}")
+        runs = sorted(p.parent for p in root.glob("*/run.json"))
+        if not runs:
+            print(f"no runs under {root}")
             return 0
         print(f"{'run id':<32} {'grid':<8} {'scale':<8} "
-              f"{'done':>5} {'quar':>5} {'pend':>5}  created")
-        for summary in summaries:
-            print(
-                f"{summary['run_id']:<32} {summary['grid']:<8} "
-                f"{summary['scale']:<8} {summary['done']:>5} "
-                f"{summary['quarantined']:>5} {summary['pending']:>5}  "
-                f"{summary['created']}"
-            )
+              f"{'done':>5} {'quar':>5} {'pend':>5}")
+        for run_dir in runs:
+            meta = load_record(run_dir / "run.json")
+            if meta is None:
+                print(f"{run_dir.name:<32} unreadable run.json")
+                continue
+            state = list(statuses(run_dir, meta["cells"]).values())
+            print(f"{run_dir.name:<32} {meta['grid']:<8} {meta['scale']:<8} "
+                  f"{state.count('done'):>5} {state.count('quarantined'):>5} "
+                  f"{state.count('pending'):>5}")
         return 0
 
     if args.report:
-        try:
-            manifest = RunManifest.load(runs_root(args.runs_dir), args.report)
-        except ManifestError as error:
-            print(f"error: {error}")
+        meta = load_record(root / args.report / "run.json")
+        if meta is None:
+            print(f"error: run {args.report!r} has no readable run.json "
+                  f"under {root}")
             return 2
-        summary = manifest.summary()
-        print(
-            f"run {summary['run_id']}: {summary['done']}/{summary['cells']} "
-            f"done, {summary['quarantined']} quarantined, "
-            f"{summary['pending']} pending"
-        )
-        print(manifest.failure_summary())
+        print(status_report(root / args.report, meta))
         return 0
 
-    if args.cell_budget is not None:
-        os.environ[CELL_BUDGET_ENV] = str(args.cell_budget)
+    run_dir = run_dir_for(args, "study")
     try:
-        outcome = run_study(
+        summary = run_study(
+            run_dir,
             grid=args.grid,
             scale=args.scale,
             jobs=args.jobs,
-            runs_dir=args.runs_dir,
-            run_id=args.resume or args.run_id,
             resume=args.resume is not None,
             retry=RetryPolicy(max_attempts=max(1, args.max_attempts)),
+            budget=WorkerBudget(wall_s=args.cell_budget, heartbeat_s=30.0),
         )
-    except (ManifestError, ValueError) as error:
+    except (StoreError, ValueError) as error:
         print(f"error: {error}")
         return 2
-    manifest = outcome.manifest
-    totals = outcome.telemetry["totals"]
-    verb = "resumed" if outcome.resumed else "ran"
-    print(
-        f"{verb} {manifest.run_id}: {totals['done']}/{totals['cells']} cells "
-        f"done, {totals['quarantined']} quarantined, "
-        f"{totals['pending']} pending "
-        f"({totals['attempts']} attempts, "
-        f"retry overhead {totals['retry_overhead_s']:.1f}s)"
+    table = status_report(run_dir, load_record(run_dir / "run.json"))
+    if summary["artifacts"]:
+        table += f"\n\nrendered: {', '.join(summary['artifacts'])}"
+    return finish_run(
+        args, run_dir, summary, "study",
+        n_cells=summary["cells"] - len(summary["missing_cells"]),
+        table=table,
+        detail=f", grid={summary['grid']}, scale={summary['scale']}",
     )
-    if outcome.skipped_cells:
-        print(f"skipped {len(outcome.skipped_cells)} already-completed "
-              f"cell(s): {', '.join(outcome.skipped_cells)}")
-    if totals["quarantined"] or totals["pending"]:
-        print(manifest.failure_summary())
-    if not args.no_artifacts:
-        results = assemble_artifacts(manifest)
-        if results:
-            print(f"artifacts: {manifest.run_dir / 'artifacts'} "
-                  f"({', '.join(sorted(results))})")
-    print(f"telemetry: {manifest.run_dir / 'telemetry.json'}")
-    if args.verify_complete:
-        if not outcome.complete:
-            print("verify-complete FAILED: cells left pending")
-            return 1
-        if args.strict and not outcome.all_done:
-            print("verify-complete --strict FAILED: quarantined cells remain")
-            return 1
-        print("verify-complete passed: every cell is done or quarantined")
-    return 0
 
 
 def chaos_main(argv: list[str] | None = None) -> int:
@@ -151,7 +122,7 @@ def chaos_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro chaos",
         description=(
-            "Seeded chaos sweep over the supervised runner + manifest: "
+            "Seeded chaos sweep over the supervised runner + cell store: "
             "every injected fault must be retried to success or end as a "
             "quarantined cell -- never a crash or a silently wrong result."
         ),

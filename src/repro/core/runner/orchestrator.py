@@ -1,43 +1,48 @@
-"""Crash-safe study orchestration: grids, resume, telemetry, chaos sweeps.
+"""``repro study`` on the shared cell store: grids, resume, chaos sweeps.
 
 This module is the conductor above :mod:`repro.core.study`: it maps the
-paper's experimental grid onto supervised worker-pool tasks, commits
-every finished ``(workload, direction)`` cell through the write-ahead run
-manifest, and reassembles the paper artifacts *from the manifest* -- so a
-run killed halfway resumes with ``repro study --resume <run-id>`` and
-produces tables bit-identical to an uninterrupted run, because both paths
-render from the same digest-verified payloads.
+paper's experimental grid onto supervised worker-pool tasks, publishes
+every finished ``(workload, direction)`` cell through
+:func:`repro.core.sweep.publish`, and renders the paper artifacts *from
+the published cells* -- so a run killed halfway resumes with
+``repro study --resume <run-id>`` and produces tables byte-identical to
+an uninterrupted run, because both paths render from the same
+digest-verified JSON records.  A run directory holds::
 
-Quarantined cells surface through the existing ``StudyCellError`` ->
-partial-table degradation path, now carrying the supervisor's full
-attempt history.
+    run.json                  grid, scale, cell ids (published like a cell)
+    cells/<cell_id>.json      a done cell: the MetricReport fields per
+                              machine and phase, scale, footprint, counters
+    telemetry/attempts.json   per-cell attempt history and timing, merged
+                              across resumes
+    summary.json              grid, scale, rendered artifacts, missing cells
+    artifacts/<id>.txt        the paper tables and figures
+
+A quarantined cell is never published; its attempt history lives only in
+``telemetry/attempts.json``, and it reaches the tables through the
+existing ``StudyCellError`` -> partial-table degradation path.
 
 :func:`run_chaos_sweep` closes the loop: seeded chaos cases (worker
 kills, freezes, spins, I/O errors, torn writes) over a micro-grid of
-probe cells, asserting that every injected fault is either retried to
-success or reported as a quarantined cell -- never a silently wrong
-result.
+probe cells pushed through the same pool and store, asserting that every
+injected fault is either retried to success or reported as a quarantined
+cell -- never a silently wrong result.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import shutil
+import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from repro import obs
 from repro.core.experiments import EXPERIMENTS, SCALES, current_scale
 from repro.core.machines import STUDY_MACHINES
+from repro.core.metrics import MetricReport
 from repro.core.runner.chaos import CHAOS_ENV
-from repro.core.runner.manifest import (
-    ManifestError,
-    RunManifest,
-    list_runs,
-    runs_root,
-)
 from repro.core.runner.supervisor import (
     RetryPolicy,
     SupervisedPool,
@@ -46,15 +51,25 @@ from repro.core.runner.supervisor import (
 )
 from repro.core.study import (
     StudyCellError,
+    StudyResult,
     Workload,
     characterize_decode,
     characterize_encode,
     default_jobs,
 )
+from repro.core.sweep import (
+    StoreError,
+    canonical,
+    cell_path,
+    load_cell,
+    load_record,
+    publish,
+)
 from repro.ioutil import atomic_write
+from repro.memsim.hierarchy import HierarchyCounters
+from repro.memsim.timing import Clock
 
-#: Environment variable for the per-cell wall-clock budget (seconds).
-CELL_BUDGET_ENV = "REPRO_CELL_BUDGET"
+#: Default per-cell wall-clock budget (seconds).
 DEFAULT_CELL_BUDGET_S = 1800.0
 
 
@@ -125,26 +140,61 @@ GRID_EXPERIMENTS: dict[str, tuple[str, ...]] = {
 }
 
 
-def cell_budget_from_env() -> float:
-    raw = os.environ.get(CELL_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_CELL_BUDGET_S
-    try:
-        return float(raw)
-    except ValueError as error:
-        raise ValueError(
-            f"{CELL_BUDGET_ENV} must be a number of seconds, got {raw!r}"
-        ) from error
+# -- cell records ------------------------------------------------------------
 
 
-def execute_cell(cell_fields: dict, scale_name: str):
-    """Worker-side entry point: characterize one cell of the grid.
+def cell_record(result: StudyResult) -> dict:
+    """The JSON record of one characterized cell.
+
+    Reports are lists in machine order, so the order the tables were
+    built in never depends on the sorted keys of the canonical form.
+    """
+    return {
+        "scale": result.scale,
+        "footprint_bytes": result.footprint_bytes,
+        "reports": [asdict(report) for report in result.reports.values()],
+        "phase_reports": {
+            phase: [asdict(report) for report in reports.values()]
+            for phase, reports in result.phase_reports.items()
+        },
+        "counters": {
+            label: asdict(counters)
+            for label, counters in result.raw_counters.items()
+        },
+    }
+
+
+def _reports(rows: list[dict]) -> dict[str, MetricReport]:
+    return {row["machine"]: MetricReport(**row) for row in rows}
+
+
+def study_result(cell: CellSpec, record: dict, n_frames: int) -> StudyResult:
+    """Rebuild the :class:`StudyResult` a cell record was made from."""
+    return StudyResult(
+        workload=cell.workload(n_frames),
+        direction=cell.direction,
+        reports=_reports(record["reports"]),
+        phase_reports={
+            phase: _reports(rows)
+            for phase, rows in record["phase_reports"].items()
+        },
+        scale=record["scale"],
+        footprint_bytes=record["footprint_bytes"],
+        raw_counters={
+            label: HierarchyCounters(**{**fields, "clock": Clock(**fields["clock"])})
+            for label, fields in record["counters"].items()
+        },
+    )
+
+
+def execute_cell(cell_fields: dict, scale_name: str) -> dict:
+    """Worker-side entry point: characterize one cell, return its record.
 
     Module-level (picklable) by design.  Replay parallelism inside the
     cell is pinned to 1 -- the orchestrator parallelizes across cells,
     and nested pools would fight over the same cores.  The encoded
-    bitstreams are dropped from the returned payload: decode cells derive
-    their own inputs deterministically, and tables never read them.
+    bitstreams are not part of the record: decode cells derive their
+    own inputs deterministically, and tables never read them.
     """
     cell = CellSpec(**cell_fields)
     scale = SCALES[scale_name]
@@ -157,45 +207,22 @@ def execute_cell(cell_fields: dict, scale_name: str):
         result = characterize_decode(
             workload, None, STUDY_MACHINES, scale.sampling(), jobs=1
         )
-    result.encoded = []
-    return result
+    return cell_record(result)
 
 
-# -- run orchestration -------------------------------------------------------
+# -- the supervised pool over the store ---------------------------------------
 
 
-@dataclass
-class StudyRunOutcome:
-    """What one ``run_study`` invocation left behind."""
-
-    manifest: RunManifest
-    statuses: dict[str, str]
-    telemetry: dict
-    resumed: bool = False
-    skipped_cells: list[str] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        """Every cell reached a terminal state (done or quarantined)."""
-        return all(status != "pending" for status in self.statuses.values())
-
-    @property
-    def all_done(self) -> bool:
-        return all(status == "done" for status in self.statuses.values())
+def telemetry_path(run_dir: Path) -> Path:
+    return Path(run_dir) / "telemetry" / "attempts.json"
 
 
-def _generate_run_id(grid: str, scale_name: str, root) -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    base = f"{stamp}-{grid}-{scale_name}"
-    run_id = base
-    counter = 1
-    while (root / run_id / "run.json").exists():
-        run_id = f"{base}.{counter}"
-        counter += 1
-    return run_id
+def load_telemetry(run_dir: Path) -> dict:
+    """The run's attempt sidecar, or an empty one if absent or corrupt."""
+    return load_record(telemetry_path(run_dir)) or {"cells": {}}
 
 
-def _cell_telemetry(outcome: TaskOutcome) -> dict:
+def _cell_row(outcome: TaskOutcome) -> dict:
     total = sum(a.duration_s for a in outcome.attempts)
     final = outcome.attempts[-1].duration_s if outcome.attempts else 0.0
     return {
@@ -204,197 +231,229 @@ def _cell_telemetry(outcome: TaskOutcome) -> dict:
         "total_s": round(total, 4),
         "final_attempt_s": round(final, 4),
         "retry_overhead_s": round(total - (final if outcome.ok else 0.0), 4),
-        "attempt_outcomes": [a.outcome for a in outcome.attempts],
         "rss_peak_bytes": max(
             (a.rss_peak_bytes for a in outcome.attempts), default=0
         ),
+        "history": [asdict(a) for a in outcome.attempts],
     }
 
 
-def _quarantine_loudly(manifest: RunManifest, cell_id: str, attempts) -> None:
-    """Quarantine a cell, degrading to pending-with-warning if even the
-    quarantine record cannot persist -- a resume re-executes the cell,
-    which is always sound; silently dropping the failure would not be."""
-    import sys
+def _execute(run_dir: Path, tasks: list, pool: SupervisedPool) -> dict:
+    """Run ``tasks`` on ``pool``, publish each result; returns cell rows.
 
-    try:
-        manifest.quarantine_cell(cell_id, attempts)
-    except ManifestError as error:
-        print(
-            f"warning: {cell_id} could not be quarantined ({error}); "
-            f"left pending for resume",
-            file=sys.stderr,
-        )
-
-
-def run_study(
-    grid: str = "tables",
-    scale: str | None = None,
-    jobs: int | None = None,
-    runs_dir=None,
-    run_id: str | None = None,
-    resume: bool = False,
-    retry: RetryPolicy | None = None,
-    budget: WorkerBudget | None = None,
-) -> StudyRunOutcome:
-    """Run (or resume) one crash-safe study over a named grid.
-
-    Fresh runs record their grid and scale in ``run.json``; a resume
-    reuses the recorded values (ignoring the arguments) so the completed
-    run is always internally consistent -- the precondition for
-    bit-identical resume artifacts.
+    A cell whose result cannot be published is quarantined with a
+    ``persist-failure`` attempt appended to its history.
     """
-    root = runs_root(runs_dir)
-    if resume:
-        if not run_id:
-            raise ValueError("resume requires a run id")
-        manifest = RunManifest.load(root, run_id)
-        meta = manifest.run_meta()
-        grid = meta["grid"]
-        scale_name = meta["scale"]
-    else:
-        scale_name = scale or current_scale().name
-        if scale_name not in SCALES:
-            raise ValueError(f"unknown scale {scale_name!r}")
-        if grid not in GRIDS:
-            raise ValueError(f"unknown grid {grid!r}; known: {sorted(GRIDS)}")
-        run_id = run_id or _generate_run_id(grid, scale_name, root)
-        manifest = RunManifest.create(
-            root, run_id, grid=grid, scale=scale_name,
-            cell_ids=[cell.cell_id for cell in GRIDS[grid]],
-        )
-    if grid not in GRIDS:
-        raise ManifestError(f"run {run_id!r} names unknown grid {grid!r}")
-    cells = {cell.cell_id: cell for cell in GRIDS[grid]}
-    todo = manifest.incomplete_cells()
-    skipped = [cell_id for cell_id in cells if cell_id not in todo]
-
-    telemetry_cells: dict[str, dict] = {
-        cell_id: {"attempts": 0, "outcome": "cached", "total_s": 0.0,
-                  "final_attempt_s": 0.0, "retry_overhead_s": 0.0,
-                  "attempt_outcomes": [], "rss_peak_bytes": 0}
-        for cell_id in skipped
-    }
-    wall_start = time.monotonic()
-    if todo:
-        pool = SupervisedPool(
-            max_workers=jobs if jobs is not None else default_jobs(),
-            budget=budget
-            if budget is not None
-            else WorkerBudget(wall_s=cell_budget_from_env(), heartbeat_s=30.0),
-            retry=retry if retry is not None else RetryPolicy(),
-        )
-        with obs.span(
-            "runner.study", grid=grid, scale=scale_name, cells=len(todo)
-        ):
-            outcomes = pool.run(
-                [
-                    (cell_id, execute_cell, (asdict(cells[cell_id]), scale_name))
-                    for cell_id in todo
-                ]
-            )
-        for cell_id, outcome in outcomes.items():
-            attempts = [asdict(a) for a in outcome.attempts]
-            telemetry_cells[cell_id] = _cell_telemetry(outcome)
-            if not outcome.ok:
-                obs.counter_add("runner.cells_quarantined")
-                _quarantine_loudly(manifest, cell_id, attempts)
-                continue
-            payload = pickle.dumps(outcome.result, protocol=4)
+    rows = {}
+    for cell_id, outcome in pool.run(tasks).items():
+        row = rows[cell_id] = _cell_row(outcome)
+        if outcome.ok:
             try:
-                with obs.span("runner.commit_cell", cell=cell_id):
-                    manifest.commit_cell(
-                        cell_id, payload,
-                        attempts=attempts,
-                        telemetry=telemetry_cells[cell_id],
-                    )
+                with obs.span("runner.publish_cell", cell=cell_id):
+                    publish(cell_path(run_dir, cell_id), outcome.result, cell_id)
                 obs.counter_add("runner.cells_done")
-            except ManifestError as error:
-                attempts.append(
-                    {"index": len(attempts) + 1, "outcome": "persist-failure",
+                continue
+            except StoreError as error:
+                row["outcome"] = "quarantined"
+                row["history"].append(
+                    {"index": row["attempts"] + 1, "outcome": "persist-failure",
                      "error": str(error), "duration_s": 0.0,
                      "rss_peak_bytes": 0, "worker_pid": 0}
                 )
-                telemetry_cells[cell_id]["outcome"] = "quarantined"
-                obs.counter_add("runner.cells_quarantined")
-                _quarantine_loudly(manifest, cell_id, attempts)
+        obs.counter_add("runner.cells_quarantined")
+    return rows
 
-    statuses = manifest.statuses()
+
+def statuses(run_dir: Path, cell_ids, rows: dict | None = None
+             ) -> dict[str, str]:
+    """Every cell's state: done (published), quarantined, or pending.
+
+    Quarantines are read from ``rows`` (attempt-sidecar rows by cell
+    id), by default from the run's published sidecar.
+    """
+    if rows is None:
+        rows = load_telemetry(run_dir)["cells"]
+    out = {}
+    for cell_id in cell_ids:
+        if load_cell(run_dir, cell_id) is not None:
+            out[cell_id] = "done"
+        elif rows.get(cell_id, {}).get("outcome") == "quarantined":
+            out[cell_id] = "quarantined"
+        else:
+            out[cell_id] = "pending"
+    return out
+
+
+def _publish_telemetry(run_dir: Path, meta: dict, rows: dict,
+                       wall_s: float) -> None:
+    """Merge this pass's rows into the sidecar and publish it."""
+    merged = {**load_telemetry(run_dir)["cells"], **rows}
+    state = list(statuses(run_dir, meta["cells"], merged).values())
     telemetry = {
-        "run_id": manifest.run_id,
-        "grid": grid,
-        "scale": scale_name,
-        "wall_s": round(time.monotonic() - wall_start, 4),
-        "cells": telemetry_cells,
+        "grid": meta["grid"],
+        "scale": meta["scale"],
+        "wall_s": round(wall_s, 4),
+        "cells": merged,
         "totals": {
-            "cells": len(statuses),
-            "done": sum(1 for s in statuses.values() if s == "done"),
-            "quarantined": sum(
-                1 for s in statuses.values() if s == "quarantined"
-            ),
-            "pending": sum(1 for s in statuses.values() if s == "pending"),
-            "attempts": sum(
-                cell["attempts"] for cell in telemetry_cells.values()
-            ),
+            "cells": len(state),
+            **{name: state.count(name)
+               for name in ("done", "quarantined", "pending")},
+            "attempts": sum(row["attempts"] for row in merged.values()),
             "retry_overhead_s": round(
-                sum(
-                    cell["retry_overhead_s"]
-                    for cell in telemetry_cells.values()
-                ),
-                4,
+                sum(row["retry_overhead_s"] for row in merged.values()), 4
             ),
         },
     }
-    try:
-        manifest.write_telemetry(telemetry)
-    except OSError:
-        pass  # telemetry is advisory; the manifest records are the truth
-    return StudyRunOutcome(
-        manifest=manifest,
-        statuses=statuses,
-        telemetry=telemetry,
-        resumed=resume,
-        skipped_cells=skipped,
+    publish(telemetry_path(run_dir), telemetry, "telemetry")
+
+
+# -- run orchestration -------------------------------------------------------
+
+
+def _open_run(run_dir: Path, grid: str | None, scale: str | None,
+              resume: bool) -> dict:
+    """The run's ``run.json``: loaded on resume, otherwise published.
+
+    A fresh run never replaces an existing one: a finished paper-scale
+    run is hours of work, and resuming is what a second pass means.
+    """
+    run_file = run_dir / "run.json"
+    if run_file.exists():
+        if not resume:
+            raise ValueError(
+                f"run {run_dir.name!r} already exists in {run_dir.parent}; "
+                f"finish it with --resume {run_dir.name} or pick another "
+                f"--run-id"
+            )
+        meta = load_record(run_file)
+        if meta is None or not {"grid", "scale", "cells"} <= set(meta):
+            raise ValueError(
+                f"{run_file} is torn, corrupt or from an older run format "
+                f"(those are not migrated); start a new --run-id"
+            )
+        for name, given in (("grid", grid), ("scale", scale)):
+            if given is not None and given != meta[name]:
+                raise ValueError(
+                    f"run {run_dir.name!r} is a --{name} {meta[name]} run, "
+                    f"not --{name} {given}"
+                )
+        if meta["cells"] != [c.cell_id for c in GRIDS.get(meta["grid"], ())]:
+            raise ValueError(
+                f"run {run_dir.name!r} lists cells that grid "
+                f"{meta['grid']!r} does not have"
+            )
+        return meta
+    grid = grid or "tables"
+    scale = scale or current_scale().name
+    if grid not in GRIDS:
+        raise ValueError(f"unknown grid {grid!r}; known: {sorted(GRIDS)}")
+    if scale not in SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    meta = {"grid": grid, "scale": scale,
+            "cells": [cell.cell_id for cell in GRIDS[grid]]}
+    publish(run_file, meta, "run.json")
+    return meta
+
+
+def run_study(
+    run_dir: str | Path,
+    grid: str | None = None,
+    scale: str | None = None,
+    jobs: int | None = None,
+    resume: bool = False,
+    retry: RetryPolicy | None = None,
+    budget: WorkerBudget | None = None,
+) -> dict:
+    """Run (or resume) one crash-safe study; returns its summary.
+
+    A fresh run publishes its grid (default ``tables``) and scale
+    (default ``$REPRO_SCALE``) in ``run.json`` and executes every cell;
+    it refuses a directory that already holds a run.  ``resume`` starts
+    an absent run the same way, and otherwise reuses the recorded grid
+    and scale, so the completed run is always internally consistent --
+    the precondition for byte-identical artifacts -- and re-executes
+    only the cells that are not published.  The summary is written to
+    ``summary.json``; the returned dict also counts the reused cells in
+    ``skipped_cells``.
+    """
+    run_dir = Path(run_dir)
+    meta = _open_run(run_dir, grid, scale, resume)
+    cells = GRIDS[meta["grid"]]
+    todo = [
+        cell for cell in cells
+        if not (resume and load_cell(run_dir, cell.cell_id) is not None)
+    ]
+    pool = SupervisedPool(
+        max_workers=jobs if jobs is not None else default_jobs(),
+        budget=budget if budget is not None
+        else WorkerBudget(wall_s=DEFAULT_CELL_BUDGET_S, heartbeat_s=30.0),
+        retry=retry if retry is not None else RetryPolicy(),
     )
+    start = time.monotonic()
+    with obs.span("runner.study", grid=meta["grid"], scale=meta["scale"],
+                  cells=len(todo)):
+        rows = _execute(
+            run_dir,
+            [(cell.cell_id, execute_cell, (asdict(cell), meta["scale"]))
+             for cell in todo],
+            pool,
+        )
+    try:
+        _publish_telemetry(run_dir, meta, rows, time.monotonic() - start)
+    except StoreError as error:
+        print(f"warning: attempt history lost ({error})", file=sys.stderr)
+    artifacts = assemble_artifacts(run_dir, meta)
+    summary = {
+        "grid": meta["grid"],
+        "scale": meta["scale"],
+        "cells": len(cells),
+        "artifacts": sorted(artifacts),
+        "missing_cells": [
+            cell.cell_id for cell in cells
+            if load_cell(run_dir, cell.cell_id) is None
+        ],
+    }
+    atomic_write(run_dir / "summary.json", canonical(summary))
+    summary["skipped_cells"] = len(cells) - len(todo)
+    return summary
 
 
-# -- artifact assembly from the manifest -------------------------------------
+# -- artifact assembly from the store ------------------------------------------
 
 
 class ManifestRunner:
-    """Duck-types :class:`repro.core.experiments.StudyRunner` over a
-    manifest: experiments render from committed, digest-verified payloads.
+    """Duck-types :class:`repro.core.experiments.StudyRunner` over a run
+    directory: experiments render from published, digest-verified cells.
 
     A quarantined or missing cell raises :class:`StudyCellError` carrying
-    the recorded attempt history, so the experiment registry's existing
-    partial-table degradation applies unchanged.
+    the attempt history from the telemetry sidecar, so the experiment
+    registry's existing partial-table degradation applies unchanged.
     """
 
-    def __init__(self, manifest: RunManifest) -> None:
-        self.manifest = manifest
-        self._cache: dict[str, object] = {}
+    def __init__(self, run_dir: str | Path, scale: str) -> None:
+        self.run_dir = Path(run_dir)
+        self.n_frames = SCALES[scale].n_frames
+        self._cache: dict[str, StudyResult] = {}
 
     def run(self, direction, width, height, n_vos, n_layers):
         cell = CellSpec(direction, width, height, n_vos, n_layers)
         cell_id = cell.cell_id
         if cell_id not in self._cache:
-            try:
-                payload = self.manifest.load_cell_payload(cell_id)
-            except ManifestError as error:
-                record = self.manifest.cell_record(cell_id)
-                history = ""
-                if record is not None and record.attempts:
-                    history = "; ".join(
-                        f"attempt {a.get('index')}: {a.get('outcome')}"
-                        for a in record.attempts
-                    )
+            record = load_cell(self.run_dir, cell_id)
+            if record is None:
+                row = load_telemetry(self.run_dir)["cells"].get(cell_id, {})
+                history = "; ".join(
+                    f"attempt {a.get('index')}: {a.get('outcome')}"
+                    for a in row.get("history", [])
+                )
                 raise StudyCellError(
-                    cell.workload(1), direction,
+                    cell.workload(self.n_frames), direction,
                     RuntimeError(
-                        f"{error}" + (f" [{history}]" if history else "")
+                        f"cell {cell_id!r} has no published result"
+                        + (f" [{history}]" if history else "")
                     ),
-                ) from error
-            self._cache[cell_id] = pickle.loads(payload)
+                )
+            self._cache[cell_id] = study_result(cell, record, self.n_frames)
         return self._cache[cell_id]
 
     def encode(self, width, height, n_vos=1, n_layers=1):
@@ -405,41 +464,57 @@ class ManifestRunner:
 
 
 def assemble_artifacts(
-    manifest: RunManifest, experiment_ids: tuple[str, ...] | None = None
+    run_dir: str | Path, meta: dict, experiment_ids: tuple[str, ...] | None = None
 ) -> dict:
-    """Render paper artifacts from a run's committed cells.
+    """Render paper artifacts from a run's published cells.
 
-    Artifacts land under ``<run>/artifacts/<id>.txt`` (atomic writes).
+    Artifacts land under ``<run>/artifacts/<id>.txt`` (atomic writes);
+    ``experiment_ids`` defaults to everything the run's grid covers.
     Returns ``{experiment_id: ExperimentResult}``; partial tables carry
     their failure notes exactly as in the in-process pipeline.
     """
-    meta = manifest.run_meta()
     if experiment_ids is None:
-        experiment_ids = GRID_EXPERIMENTS.get(meta.get("grid", ""), ())
-    runner = ManifestRunner(manifest)
+        experiment_ids = GRID_EXPERIMENTS.get(meta["grid"], ())
+    runner = ManifestRunner(run_dir, meta["scale"])
     results = {}
     for experiment_id in experiment_ids:
         result = EXPERIMENTS[experiment_id](runner)
         results[experiment_id] = result
         atomic_write(
-            manifest.run_dir / "artifacts" / f"{experiment_id}.txt",
+            Path(run_dir) / "artifacts" / f"{experiment_id}.txt",
             result.text + "\n",
         )
     return results
+
+
+def status_report(run_dir: Path, meta: dict) -> str:
+    """One line per cell, plus the attempt history of every cell that
+    is not done."""
+    rows = load_telemetry(run_dir)["cells"]
+    lines = [f"{'cell':<28} {'status':<12} {'attempts':>8}"]
+    for cell_id, status in statuses(run_dir, meta["cells"], rows).items():
+        row = rows.get(cell_id, {})
+        lines.append(f"{cell_id:<28} {status:<12} {row.get('attempts', 0):>8}")
+        if status == "done":
+            continue
+        for attempt in row.get("history", []):
+            error = str(attempt.get("error", "")).strip().splitlines()
+            detail = f" -- {error[-1]}" if error else ""
+            lines.append(
+                f"  attempt {attempt.get('index')}: {attempt.get('outcome')} "
+                f"({attempt.get('duration_s', 0):.2f}s){detail}"
+            )
+    return "\n".join(lines)
 
 
 # -- seeded chaos sweep ------------------------------------------------------
 
 
 def probe_cell(cell_index: int, seed: int) -> dict:
-    """A trivial, deterministic 'cell': its correct payload is computable
+    """A trivial, deterministic 'cell': its correct record is computable
     from its inputs alone, which is what lets the sweep detect a silently
     wrong result (as opposed to a loud failure)."""
     return {"cell": cell_index, "seed": seed, "value": (cell_index + 1) * 7919}
-
-
-def _expected_probe_payload(cell_index: int, seed: int) -> dict:
-    return probe_cell(cell_index, seed)
 
 
 @dataclass
@@ -447,7 +522,7 @@ class ChaosCaseResult:
     seed: int
     statuses: dict[str, str]
     violations: list[str] = field(default_factory=list)
-    #: Typed, surfaced failures (ManifestError at create/quarantine):
+    #: Typed, surfaced failures (a record the store could not publish):
     #: the runner said loudly that it could not proceed -- sound behavior
     #: under fault injection, so not a contract violation.
     loud_errors: list[str] = field(default_factory=list)
@@ -476,23 +551,16 @@ class ChaosSweepReport:
         ]
 
     def summary(self) -> str:
-        done = sum(
-            1
-            for case in self.cases
-            for status in case.statuses.values()
-            if status == "done"
-        )
-        quarantined = sum(
-            1
-            for case in self.cases
-            for status in case.statuses.values()
-            if status == "quarantined"
-        )
+        terminal = [
+            status for case in self.cases for status in case.statuses.values()
+        ]
         attempts = sum(case.attempts for case in self.cases)
         loud = sum(len(case.loud_errors) for case in self.cases)
         lines = [
             f"{len(self.cases)} chaos cases (profile={self.profile}): "
-            f"{done} cells done, {quarantined} quarantined, "
+            f"{terminal.count('done')} cells done, "
+            f"{terminal.count('quarantined')} quarantined, "
+            f"{terminal.count('pending')} pending, "
             f"{attempts} attempts, {loud} loud persistence failures, "
             f"{len(self.violations)} violations"
         ]
@@ -501,89 +569,69 @@ class ChaosSweepReport:
 
 
 def _run_chaos_case(
-    seed: int, profile: str, n_cells: int, root, retry, budget
+    seed: int, profile: str, n_cells: int, root: Path, retry, budget
 ) -> ChaosCaseResult:
-    run_id = f"chaos-{seed}"
+    run_dir = root / f"chaos-{seed}"
     cell_ids = [f"probe-{index}" for index in range(n_cells)]
-    violations: list[str] = []
-    loud_errors: list[str] = []
-    statuses: dict[str, str] = {}
-    attempts_total = 0
+    meta = {"grid": "chaos-probe", "scale": "n/a", "cells": cell_ids}
+    case = ChaosCaseResult(seed=seed, statuses={})
     previous = os.environ.get(CHAOS_ENV)
     os.environ[CHAOS_ENV] = f"{seed}:{profile}"
     try:
         try:
-            manifest = RunManifest.create(
-                root, run_id, grid="chaos-probe", scale="n/a",
-                cell_ids=cell_ids,
-            )
-        except ManifestError as error:
+            publish(run_dir / "run.json", meta, "run.json")
+        except StoreError as error:
             # A typed, surfaced refusal before any work ran: nothing is
             # silently wrong, so the case records a loud error, not a
             # violation.
-            loud_errors.append(f"run creation failed loudly: {error}")
-            return ChaosCaseResult(
-                seed=seed, statuses={}, violations=[],
-                loud_errors=loud_errors,
-            )
+            case.loud_errors.append(f"run creation failed loudly: {error}")
+            return case
         pool = SupervisedPool(max_workers=2, budget=budget, retry=retry)
-        outcomes = pool.run(
-            [
-                (cell_ids[index], probe_cell, (index, seed))
-                for index in range(n_cells)
-            ]
+        rows = _execute(
+            run_dir,
+            [(cell_id, probe_cell, (index, seed))
+             for index, cell_id in enumerate(cell_ids)],
+            pool,
         )
-        unpersisted: set[str] = set()
-
-        def quarantine(cell_id: str, attempts: list[dict]) -> None:
-            try:
-                manifest.quarantine_cell(cell_id, attempts)
-            except ManifestError as error:
-                loud_errors.append(f"{cell_id}: {error}")
-                unpersisted.add(cell_id)
-
+        case.attempts = sum(row["attempts"] for row in rows.values())
+        history_lost = False
+        try:
+            _publish_telemetry(run_dir, meta, rows, 0.0)
+        except StoreError as error:
+            case.loud_errors.append(f"attempt history lost: {error}")
+            history_lost = True
+        # -- invariants, read back from disk: every cell terminal, every
+        # published record correct, every quarantine with its history.
+        on_disk = load_telemetry(run_dir)["cells"]
+        case.statuses = statuses(run_dir, cell_ids, on_disk)
         for index, cell_id in enumerate(cell_ids):
-            outcome = outcomes[cell_id]
-            attempts_total += len(outcome.attempts)
-            if outcome.ok:
-                payload = pickle.dumps(outcome.result, protocol=4)
-                try:
-                    manifest.commit_cell(
-                        cell_id, payload,
-                        attempts=[asdict(a) for a in outcome.attempts],
+            status = case.statuses[cell_id]
+            if status == "done":
+                record = load_cell(run_dir, cell_id)
+                if record != probe_cell(index, seed):
+                    case.violations.append(
+                        f"{cell_id} published a WRONG record: {record!r}"
                     )
-                except ManifestError:
-                    quarantine(cell_id, [asdict(a) for a in outcome.attempts])
-            else:
-                if not outcome.attempts:
-                    violations.append(
+            elif status == "quarantined":
+                if not on_disk[cell_id]["history"]:
+                    case.violations.append(
                         f"{cell_id} quarantined with empty attempt history"
                     )
-                quarantine(cell_id, [asdict(a) for a in outcome.attempts])
-        # -- invariants: every cell terminal, every payload correct --------
-        statuses = {
-            cell_id: status
-            for cell_id, status in manifest.statuses().items()
-        }
-        for index, cell_id in enumerate(cell_ids):
-            status = statuses.get(cell_id)
-            if status == "done":
-                payload = pickle.loads(manifest.load_cell_payload(cell_id))
-                if payload != _expected_probe_payload(index, seed):
-                    violations.append(
-                        f"{cell_id} committed a WRONG payload: {payload!r}"
-                    )
-            elif status != "quarantined" and cell_id not in unpersisted:
-                violations.append(
-                    f"{cell_id} ended non-terminal: {status!r}"
+            elif history_lost and rows[cell_id]["outcome"] == "quarantined":
+                # Its quarantine lived only in the lost sidecar: the cell
+                # reads back pending and a resume re-runs it.
+                case.loud_errors.append(
+                    f"{cell_id}: quarantine unrecorded (attempt history lost)"
                 )
-        strays = list(manifest.run_dir.rglob("*.tmp"))
+            else:
+                case.violations.append(f"{cell_id} ended non-terminal: {status!r}")
+        strays = list(run_dir.rglob("*.tmp"))
         if strays:
-            violations.append(
+            case.violations.append(
                 f"temporary files leaked: {[s.name for s in strays]}"
             )
     except Exception as error:  # noqa: BLE001 -- the uncaught-crash invariant
-        violations.append(
+        case.violations.append(
             f"uncaught {type(error).__name__} escaped the orchestration: "
             f"{error}"
         )
@@ -592,10 +640,7 @@ def _run_chaos_case(
             os.environ.pop(CHAOS_ENV, None)
         else:
             os.environ[CHAOS_ENV] = previous
-    return ChaosCaseResult(
-        seed=seed, statuses=statuses, violations=violations,
-        loud_errors=loud_errors, attempts=attempts_total,
-    )
+    return case
 
 
 def run_chaos_sweep(
@@ -608,10 +653,10 @@ def run_chaos_sweep(
     """Seeded chaos sweep: every case replayable from its seed alone.
 
     Each case arms ``REPRO_CHAOS`` with a distinct seed and pushes probe
-    cells through the real supervised pool and manifest.  The contract
+    cells through the real supervised pool and cell store.  The contract
     checked is the runner's whole reason to exist: injected faults are
     retried to success or reported as quarantined cells with history --
-    no uncaught crash, no non-terminal cell, no silently wrong payload,
+    no uncaught crash, no non-terminal cell, no silently wrong record,
     no leaked temporary file.
     """
     retry = RetryPolicy(
@@ -622,8 +667,6 @@ def run_chaos_sweep(
     keep_dir = runs_dir is not None
     root = runs_dir if keep_dir else tempfile.mkdtemp(prefix="repro-chaos-")
     try:
-        from pathlib import Path
-
         for case_index in range(n_cases):
             report.cases.append(
                 _run_chaos_case(
@@ -638,17 +681,19 @@ def run_chaos_sweep(
 
 
 __all__ = [
-    "CELL_BUDGET_ENV",
     "CellSpec",
     "ChaosSweepReport",
+    "DEFAULT_CELL_BUDGET_S",
     "GRIDS",
     "GRID_EXPERIMENTS",
     "ManifestRunner",
-    "StudyRunOutcome",
     "assemble_artifacts",
-    "cell_budget_from_env",
+    "cell_record",
     "execute_cell",
-    "list_runs",
+    "load_telemetry",
     "run_chaos_sweep",
     "run_study",
+    "status_report",
+    "statuses",
+    "study_result",
 ]

@@ -1,6 +1,6 @@
 """Atomic artifact writes shared by every persistence path.
 
-The study pipeline persists many small artifacts -- run manifests, golden
+The study pipeline persists many small artifacts -- study cells, golden
 vectors, benchmark JSON, rendered tables -- and a crash (or an injected
 chaos fault) mid-``write()`` must never leave a half-written file where a
 reader expects a whole one.  :func:`atomic_write` gives every caller the
@@ -28,7 +28,7 @@ __all__ = ["atomic_write", "sha256_hex"]
 
 
 def sha256_hex(data: bytes) -> str:
-    """Content digest used by manifest/cache readers to verify payloads."""
+    """Content digest used by cell-store/cache readers to verify payloads."""
     return hashlib.sha256(data).hexdigest()
 
 

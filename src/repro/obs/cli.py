@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import tempfile
 import time
 from pathlib import Path
 
@@ -107,8 +108,12 @@ def _profile_bench(args):
 
 
 def _profile_study(args, spool: Path):
-    from repro.core.runner.orchestrator import run_study
+    from repro.core.runner.orchestrator import load_telemetry, run_study
+    from repro.core.sweep import runs_root
 
+    root = runs_root(args.runs_dir, "study")
+    root.mkdir(parents=True, exist_ok=True)
+    run_dir = Path(tempfile.mkdtemp(prefix="profile-", dir=root))
     # Workers are separate processes: they resolve the obs session from
     # the environment and flush part files into the spool on completion.
     saved = {
@@ -120,12 +125,9 @@ def _profile_study(args, spool: Path):
     try:
         with obs.recording() as session:
             start = time.perf_counter()
-            outcome = run_study(
-                grid=args.grid, scale=args.scale, jobs=args.jobs,
-                runs_dir=args.runs_dir,
-            )
+            run_study(run_dir, grid=args.grid, scale=args.scale, jobs=args.jobs)
             wall_s = time.perf_counter() - start
-            session.registry.absorb_study_telemetry(outcome.telemetry)
+            session.registry.absorb_study_telemetry(load_telemetry(run_dir))
             records = list(session.tracer.records())
             snapshot = session.registry.snapshot()
     finally:

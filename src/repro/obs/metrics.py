@@ -194,8 +194,8 @@ class MetricsRegistry:
                 gauge.set(value)
 
     def absorb_study_telemetry(self, telemetry: dict) -> None:
-        """Publish one study run's supervisor telemetry (orchestrator
-        ``StudyRunOutcome.telemetry`` shape) through the registry."""
+        """Publish one study run's supervisor telemetry (the shape of
+        its ``telemetry/attempts.json``) through the registry."""
         totals = telemetry.get("totals", {})
         for key in ("cells", "done", "quarantined", "pending", "attempts"):
             if key in totals:

@@ -21,7 +21,7 @@ Controller ladder, weakest first:
 - ``fixed``      -- pick the best rung for the *provisioned* rate at
   session start, never switch (the baseline the study beats);
 - ``buffer``     -- step down when the client buffer runs low, up when
-  it is comfortably full;
+  it is comfortably full and the next rung fits the measured throughput;
 - ``throughput`` -- sliding-window harmonic-mean predictor over observed
   download rates, pick the best rung under a safety factor;
 - ``hybrid``     -- throughput choice, overridden by buffer panic/low
@@ -272,11 +272,18 @@ def _choose_rung(
             elif candidate > current and buffer_vms < policy.high_buffer_vms:
                 candidate = current  # up-switches need a healthy buffer
     else:
-        # Pure buffer policy: step relative to the current rung.
+        # Pure buffer policy: step relative to the current rung.  A full
+        # buffer only says the current rung is sustainable; the next one
+        # must also fit the measured throughput, under the same safety
+        # rule as the initial pick, or the session would climb above its
+        # channel and the final rung would depend on the starting rung.
+        step_up = min(current + 1, top)
         if buffer_vms < policy.low_buffer_vms:
             candidate = max(current - 1, 0)
-        elif buffer_vms > policy.high_buffer_vms:
-            candidate = min(current + 1, top)
+        elif (buffer_vms > policy.high_buffer_vms
+              and tracks[step_up].nominal_kbps
+              <= policy.safety * predicted_kbps):
+            candidate = step_up
         else:
             candidate = current
     if candidate > current:

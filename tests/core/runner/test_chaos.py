@@ -7,7 +7,7 @@ import pytest
 from repro.core.runner.chaos import (
     CHAOS_ENV,
     FAULTS,
-    POINT_MANIFEST_CELL,
+    POINT_STORE_WRITE,
     POINT_TRACE_STORE,
     POINT_WORKER_CELL,
     PROFILES,
@@ -53,7 +53,7 @@ class TestDeterminism:
     def test_faults_only_at_profiled_points(self):
         injector = ChaosInjector(3, PROFILES["kills"])
         for i in range(50):
-            assert injector.fault_at(POINT_MANIFEST_CELL, f"k{i}") is None
+            assert injector.fault_at(POINT_STORE_WRITE, f"k{i}") is None
 
     def test_known_faults_only(self):
         injector = ChaosInjector(11, PROFILES["heavy"])
@@ -71,20 +71,20 @@ class TestMangleBytes:
 
     def test_scheduled_tear_corrupts_deterministically(self):
         injector = ChaosInjector(5, PROFILES["io"])
-        key = self._torn_key(injector, POINT_MANIFEST_CELL)
+        key = self._torn_key(injector, POINT_STORE_WRITE)
         data = b"x" * 256
-        mangled = injector.mangle_bytes(POINT_MANIFEST_CELL, key, data)
+        mangled = injector.mangle_bytes(POINT_STORE_WRITE, key, data)
         assert mangled != data
-        assert mangled == injector.mangle_bytes(POINT_MANIFEST_CELL, key, data)
+        assert mangled == injector.mangle_bytes(POINT_STORE_WRITE, key, data)
 
     def test_unscheduled_data_passes_through(self):
         injector = ChaosInjector(5, PROFILES["io"])
         for i in range(200):
             key = f"k{i}"
-            if injector.fault_at(POINT_MANIFEST_CELL, key) is None:
+            if injector.fault_at(POINT_STORE_WRITE, key) is None:
                 data = b"payload"
                 assert (
-                    injector.mangle_bytes(POINT_MANIFEST_CELL, key, data)
+                    injector.mangle_bytes(POINT_STORE_WRITE, key, data)
                     == data
                 )
                 return
@@ -92,8 +92,8 @@ class TestMangleBytes:
 
     def test_empty_data_never_mangled(self):
         injector = ChaosInjector(5, PROFILES["io"])
-        key = self._torn_key(injector, POINT_MANIFEST_CELL)
-        assert injector.mangle_bytes(POINT_MANIFEST_CELL, key, b"") == b""
+        key = self._torn_key(injector, POINT_STORE_WRITE)
+        assert injector.mangle_bytes(POINT_STORE_WRITE, key, b"") == b""
 
 
 class TestIoError:

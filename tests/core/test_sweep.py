@@ -89,6 +89,17 @@ class TestCellStore:
 
 
 class TestRunGrid:
+    def test_unpublishable_cell_is_left_missing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def failing(path, record, key):
+            raise sweep.StoreError(f"{path} not published")
+
+        monkeypatch.setattr(sweep, "publish", failing)
+        summary = toy_sweep(tmp_path, [1])
+        assert summary["missing_cells"] == ["toy1"]
+        assert "left for --resume" in capsys.readouterr().err
+
     def test_writes_layout_and_summary(self, tmp_path):
         summary = toy_sweep(tmp_path, [1, 2], render=lambda s: f"t={s['total']}")
         assert summary["total"] == 5

@@ -17,7 +17,7 @@ the study rests on:
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.service.abr import (
@@ -86,6 +86,14 @@ def test_determinism(rates, trace, policy_name, n_segments, loss):
     st.floats(min_value=0.0, max_value=40.0,
               allow_nan=False, allow_infinity=False),
     policies,
+)
+# The buffer policy used to climb from rung 1 to rung 3 (49.9 kbit/s, above
+# the 48.31 channel) while the faster channel started and stayed at rung 2.
+@example(
+    rates=(22.3, 28.21, 44.881, 49.936, 54.58),
+    capacity=48.31,
+    extra=4.59,
+    policy_name="buffer",
 )
 def test_monotonicity_in_steady_state(rates, capacity, extra, policy_name):
     """More bandwidth never selects a lower rendition: both the initial

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runner.chaos import POINT_MANIFEST_CELL, ChaosInjector, PROFILES
+from repro.core.runner.chaos import POINT_STORE_WRITE, ChaosInjector, PROFILES
 from repro.ioutil import atomic_write, sha256_hex
 
 
@@ -46,7 +46,7 @@ class TestAtomicWrite:
 class TestChaosIntegration:
     def _key_for(self, injector, fault):
         for i in range(2000):
-            if injector.fault_at(POINT_MANIFEST_CELL, f"k{i}") == fault:
+            if injector.fault_at(POINT_STORE_WRITE, f"k{i}") == fault:
                 return f"k{i}"
         raise AssertionError(f"no {fault} draw found")
 
@@ -57,7 +57,7 @@ class TestChaosIntegration:
         target = tmp_path / "artifact.bin"
         with pytest.raises(OSError, match="chaos"):
             atomic_write(
-                target, b"data", chaos_point=POINT_MANIFEST_CELL,
+                target, b"data", chaos_point=POINT_STORE_WRITE,
                 chaos_key=key,
             )
         assert not target.exists()
@@ -72,7 +72,7 @@ class TestChaosIntegration:
         target = tmp_path / "artifact.bin"
         data = b"intended content" * 8
         atomic_write(
-            target, data, chaos_point=POINT_MANIFEST_CELL, chaos_key=key
+            target, data, chaos_point=POINT_STORE_WRITE, chaos_key=key
         )
         published = target.read_bytes()
         assert published != data
@@ -83,6 +83,6 @@ class TestChaosIntegration:
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
         target = tmp_path / "artifact.bin"
         atomic_write(
-            target, b"data", chaos_point=POINT_MANIFEST_CELL, chaos_key="k"
+            target, b"data", chaos_point=POINT_STORE_WRITE, chaos_key="k"
         )
         assert target.read_bytes() == b"data"
